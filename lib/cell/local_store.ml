@@ -1,4 +1,6 @@
-module F32 = Sim_util.F32
+(* [Sim_util.F32.round], local so the per-float staging loop calls no
+   other compilation unit (such a call boxes its result). *)
+let[@inline] round x = Int32.float_of_bits (Int32.bits_of_float x)
 
 exception Overflow of { requested : int; available : int }
 
@@ -52,11 +54,11 @@ let get b i =
 
 let set b i v =
   check_live b;
-  b.data.(i) <- F32.round v
+  b.data.(i) <- round v
 
 let fill b v =
   check_live b;
-  Array.fill b.data 0 (Array.length b.data) (F32.round v)
+  Array.fill b.data 0 (Array.length b.data) (round v)
 
 let blit_from_array ~src ~src_pos ~dst ~dst_pos ~len =
   check_live dst;
@@ -65,7 +67,7 @@ let blit_from_array ~src ~src_pos ~dst ~dst_pos ~len =
      || dst_pos + len > Array.length dst.data
   then invalid_arg "Local_store.blit_from_array: range";
   for k = 0 to len - 1 do
-    dst.data.(dst_pos + k) <- F32.round src.(src_pos + k)
+    dst.data.(dst_pos + k) <- round src.(src_pos + k)
   done
 
 let blit_to_array ~src ~src_pos ~dst ~dst_pos ~len =

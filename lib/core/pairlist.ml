@@ -1,5 +1,47 @@
 let default_skin = 0.4
 
+(* Local copies of [Min_image.delta] and the [Params.lj_*] terms, which
+   stay the reference: a call into another compilation unit is out of
+   line and boxes its float arguments and result, once per candidate
+   pair.  Same operations in the same order, so bit-identical. *)
+let[@inline] delta box dx = dx -. (box *. Float.round (dx /. box))
+
+type terms = {
+  box : float;
+  rc2 : float;
+  inv_mass : float;
+  sigma2 : float;
+  eps24 : float;
+  eps4 : float;
+}
+
+let terms (s : System.t) =
+  let p = s.System.params in
+  { box = s.System.box;
+    rc2 = Params.cutoff2 p;
+    inv_mass = 1.0 /. p.Params.mass;
+    sigma2 = p.Params.sigma *. p.Params.sigma;
+    eps24 = 24.0 *. p.Params.epsilon;
+    eps4 = 4.0 *. p.Params.epsilon }
+
+(* (sigma²/r²)³, after the r2 > 0 check [Params.lj_*] raise on. *)
+let[@inline] s6 k r2 =
+  if r2 <= 0.0 then invalid_arg "Params.lj_force_over_r: r2 must be positive";
+  let s2 = k.sigma2 /. r2 in
+  s2 *. s2 *. s2
+
+let[@inline] force_over_r k s6 r2 = k.eps24 *. ((2.0 *. s6 *. s6) -. s6) /. r2
+let[@inline] potential k s6 = k.eps4 *. ((s6 *. s6) -. s6)
+
+(* Per-domain candidate buffer for list builds: a row's hits collect
+   here, then one exact-size copy becomes the stored row. *)
+let scratch = Domain.DLS.new_key (fun () -> ref [||])
+
+let scratch_for n =
+  let r = Domain.DLS.get scratch in
+  if Array.length !r < n then r := Array.make n 0;
+  !r
+
 (* The Newton-3 traversal is split into [compute_chunks n] contiguous
    row blocks accumulating into private force buffers merged in block
    order.  The chunk count is a pure function of [n] — never of the
@@ -31,7 +73,7 @@ type t = {
      port charges for a rebuild scan). *)
   row_scanned : int array;
   mutable last_scanned : int;
-  (* Per-chunk Newton-3 accumulation state, allocated on first chunked
+  (* Per-chunk Newton-3 accumulation state, allocated on the first
      compute and reused. *)
   mutable chunk_acc : float array array;  (* chunks × 3n *)
   chunk_pe : float array;
@@ -164,15 +206,19 @@ let finish_build t =
    for the cell-binned build. *)
 let build_row_brute t reach2 i =
   let { System.n; box; pos_x; pos_y; pos_z; _ } = t.system in
-  let acc = ref [] in
-  for j = n - 1 downto i + 1 do
-    let dx = Min_image.delta ~box (pos_x.{i} -. pos_x.{j})
-    and dy = Min_image.delta ~box (pos_y.{i} -. pos_y.{j})
-    and dz = Min_image.delta ~box (pos_z.{i} -. pos_z.{j}) in
-    if (dx *. dx) +. (dy *. dy) +. (dz *. dz) < reach2 then acc := j :: !acc
+  let buf = scratch_for n and count = ref 0 in
+  let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
+  for j = i + 1 to n - 1 do
+    let dx = delta box (xi -. pos_x.{j})
+    and dy = delta box (yi -. pos_y.{j})
+    and dz = delta box (zi -. pos_z.{j}) in
+    if (dx *. dx) +. (dy *. dy) +. (dz *. dz) < reach2 then begin
+      buf.(!count) <- j;
+      incr count
+    end
   done;
   t.row_scanned.(i) <- n - 1 - i;
-  Array.of_list !acc
+  Array.sub buf 0 !count
 
 let build_brute t =
   let n = t.system.System.n in
@@ -212,13 +258,13 @@ let bin_atoms t =
   done
 
 let build_row_cells t reach2 i =
-  let { System.box; pos_x; pos_y; pos_z; _ } = t.system in
+  let { System.n; box; pos_x; pos_y; pos_z; _ } = t.system in
   let m = t.cells in
   let wrap k = ((k mod m) + m) mod m in
   let ci = t.atom_cell.(i) in
   let cix = ci mod m and ciy = ci / m mod m and ciz = ci / (m * m) in
   let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-  let acc = ref [] and count = ref 0 and scanned = ref 0 in
+  let buf = scratch_for n and count = ref 0 and scanned = ref 0 in
   for sz = -1 to 1 do
     for sy = -1 to 1 do
       for sx = -1 to 1 do
@@ -229,11 +275,11 @@ let build_row_cells t reach2 i =
         while !j >= 0 do
           if !j > i then begin
             incr scanned;
-            let dx = Min_image.delta ~box (xi -. pos_x.{!j})
-            and dy = Min_image.delta ~box (yi -. pos_y.{!j})
-            and dz = Min_image.delta ~box (zi -. pos_z.{!j}) in
+            let dx = delta box (xi -. pos_x.{!j})
+            and dy = delta box (yi -. pos_y.{!j})
+            and dz = delta box (zi -. pos_z.{!j}) in
             if (dx *. dx) +. (dy *. dy) +. (dz *. dz) < reach2 then begin
-              acc := !j :: !acc;
+              buf.(!count) <- !j;
               incr count
             end
           end;
@@ -243,10 +289,16 @@ let build_row_cells t reach2 i =
     done
   done;
   t.row_scanned.(i) <- !scanned;
-  let row = Array.make !count 0 in
-  List.iteri (fun k j -> row.(k) <- j) !acc;
-  Array.sort Int.compare row;
-  row
+  (* Insertion sort: a row is a few dozen distinct indices. *)
+  for k = 1 to !count - 1 do
+    let v = buf.(k) and p = ref (k - 1) in
+    while !p >= 0 && buf.(!p) > v do
+      buf.(!p + 1) <- buf.(!p);
+      decr p
+    done;
+    buf.(!p + 1) <- v
+  done;
+  Array.sub buf 0 !count
 
 let build_cells t =
   let n = t.system.System.n in
@@ -264,9 +316,9 @@ let max_drift t =
   let { System.n; box; pos_x; pos_y; pos_z; _ } = s in
   let worst = ref 0.0 in
   for i = 0 to n - 1 do
-    let dx = Min_image.delta ~box (pos_x.{i} -. t.ref_x.{i})
-    and dy = Min_image.delta ~box (pos_y.{i} -. t.ref_y.{i})
-    and dz = Min_image.delta ~box (pos_z.{i} -. t.ref_z.{i}) in
+    let dx = delta box (pos_x.{i} -. t.ref_x.{i})
+    and dy = delta box (pos_y.{i} -. t.ref_y.{i})
+    and dz = delta box (pos_z.{i} -. t.ref_z.{i}) in
     worst := Float.max !worst ((dx *. dx) +. (dy *. dy) +. (dz *. dz))
   done;
   sqrt !worst
@@ -310,115 +362,97 @@ let full_rows t =
 
 let full_entry_count t = 2 * neighbour_count t
 
-(* Serial Newton-3 half-list traversal — the exact pre-chunking hot
-   loop, still taken whenever [compute_chunks n = 1]. *)
-let compute_serial t (s : System.t) =
-  let { System.n; box; params; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Params.mass in
+(* Newton-3 over the half-list rows [lo, hi): both sides of every
+   in-cutoff pair accumulate into [buf] (3n, zeroed here); the chunk's
+   PE and hit count land in slot [c]. *)
+let accumulate_rows t (s : System.t) k buf c ~lo ~hi =
+  let { System.pos_x; pos_y; pos_z; _ } = s in
+  Array.fill buf 0 (Array.length buf) 0.0;
   let pe = ref 0.0 and hits = ref 0 in
-  System.clear_accelerations s;
-  for i = 0 to n - 1 do
+  for i = lo to hi - 1 do
     let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-    Array.iter
-      (fun j ->
-        let dx = Min_image.delta ~box (xi -. pos_x.{j})
-        and dy = Min_image.delta ~box (yi -. pos_y.{j})
-        and dz = Min_image.delta ~box (zi -. pos_z.{j}) in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-        if r2 < rc2 then begin
-          let f_over_r = Params.lj_force_over_r params r2 in
-          let ax = f_over_r *. dx *. inv_mass
-          and ay = f_over_r *. dy *. inv_mass
-          and az = f_over_r *. dz *. inv_mass in
-          acc_x.{i} <- acc_x.{i} +. ax;
-          acc_y.{i} <- acc_y.{i} +. ay;
-          acc_z.{i} <- acc_z.{i} +. az;
-          acc_x.{j} <- acc_x.{j} -. ax;
-          acc_y.{j} <- acc_y.{j} -. ay;
-          acc_z.{j} <- acc_z.{j} -. az;
-          pe := !pe +. Params.lj_potential params r2;
-          incr hits
-        end)
-      t.neighbours.(i)
+    let row = t.neighbours.(i) in
+    for m = 0 to Array.length row - 1 do
+      let j = row.(m) in
+      let dx = delta k.box (xi -. pos_x.{j})
+      and dy = delta k.box (yi -. pos_y.{j})
+      and dz = delta k.box (zi -. pos_z.{j}) in
+      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+      if r2 < k.rc2 then begin
+        let s6 = s6 k r2 in
+        let f_over_r = force_over_r k s6 r2 in
+        let ax = f_over_r *. dx *. k.inv_mass
+        and ay = f_over_r *. dy *. k.inv_mass
+        and az = f_over_r *. dz *. k.inv_mass in
+        buf.(3 * i) <- buf.(3 * i) +. ax;
+        buf.((3 * i) + 1) <- buf.((3 * i) + 1) +. ay;
+        buf.((3 * i) + 2) <- buf.((3 * i) + 2) +. az;
+        buf.(3 * j) <- buf.(3 * j) -. ax;
+        buf.((3 * j) + 1) <- buf.((3 * j) + 1) -. ay;
+        buf.((3 * j) + 2) <- buf.((3 * j) + 2) -. az;
+        pe := !pe +. potential k s6;
+        incr hits
+      end
+    done
   done;
-  t.last_hits <- !hits;
-  !pe
+  t.chunk_pe.(c) <- !pe;
+  t.chunk_hits.(c) <- !hits
 
-(* Chunked Newton-3: each chunk owns the contiguous row block
-   [c*n/chunks, (c+1)*n/chunks) and accumulates both sides of its pairs
-   into a private 3n force buffer; buffers are then merged per atom in
-   ascending chunk order (and PE/hit partials folded the same way), so
-   the result is a pure function of (n, list) — independent of the pool
-   size and of which domain ran which chunk. *)
-let compute_chunked t (s : System.t) ~chunks =
-  let { System.n; box; params; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Params.mass in
-  if Array.length t.chunk_acc = 0 then
-    t.chunk_acc <- Array.init chunks (fun _ -> Array.make (3 * n) 0.0);
-  let bufs = t.chunk_acc in
-  let pool = pool_of t in
-  Mdpar.parallel_for pool ~lo:0 ~hi:(chunks - 1) (fun c ->
-      let buf = bufs.(c) in
-      Array.fill buf 0 (3 * n) 0.0;
-      let pe = ref 0.0 and hits = ref 0 in
-      for i = c * n / chunks to ((c + 1) * n / chunks) - 1 do
-        let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-        Array.iter
-          (fun j ->
-            let dx = Min_image.delta ~box (xi -. pos_x.{j})
-            and dy = Min_image.delta ~box (yi -. pos_y.{j})
-            and dz = Min_image.delta ~box (zi -. pos_z.{j}) in
-            let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-            if r2 < rc2 then begin
-              let f_over_r = Params.lj_force_over_r params r2 in
-              let ax = f_over_r *. dx *. inv_mass
-              and ay = f_over_r *. dy *. inv_mass
-              and az = f_over_r *. dz *. inv_mass in
-              buf.(3 * i) <- buf.(3 * i) +. ax;
-              buf.((3 * i) + 1) <- buf.((3 * i) + 1) +. ay;
-              buf.((3 * i) + 2) <- buf.((3 * i) + 2) +. az;
-              buf.(3 * j) <- buf.(3 * j) -. ax;
-              buf.((3 * j) + 1) <- buf.((3 * j) + 1) -. ay;
-              buf.((3 * j) + 2) <- buf.((3 * j) + 2) -. az;
-              pe := !pe +. Params.lj_potential params r2;
-              incr hits
-            end)
-          t.neighbours.(i)
-      done;
-      t.chunk_pe.(c) <- !pe;
-      t.chunk_hits.(c) <- !hits);
-  (* Deterministic merge: atom slots are disjoint, chunk order fixed. *)
-  Mdpar.parallel_for pool ~lo:0 ~hi:(n - 1) (fun i ->
-      let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 in
-      for c = 0 to chunks - 1 do
-        let buf = bufs.(c) in
-        ax := !ax +. buf.(3 * i);
-        ay := !ay +. buf.((3 * i) + 1);
-        az := !az +. buf.((3 * i) + 2)
-      done;
-      acc_x.{i} <- !ax;
-      acc_y.{i} <- !ay;
-      acc_z.{i} <- !az);
-  let pe = ref 0.0 and hits = ref 0 in
-  for c = 0 to chunks - 1 do
-    pe := !pe +. t.chunk_pe.(c);
-    hits := !hits + t.chunk_hits.(c)
-  done;
-  t.last_hits <- !hits;
-  !pe
-
+(* Chunk c owns the contiguous row block [c*n/chunks, (c+1)*n/chunks).
+   With several chunks they run on the pool and their buffers are
+   merged per atom in ascending chunk order (PE/hit partials folded the
+   same way), so the result is a pure function of (n, list) —
+   independent of the pool size and of which domain ran which chunk.
+   A single chunk runs inline and its buffer is the result: every slot
+   sees the same additions in the same order from +0.0 as the serial
+   traversal would. *)
 let compute t (s : System.t) =
   if s != t.system then
     invalid_arg "Pairlist: engine used with a different system";
   if needs_rebuild t then build t;
-  let chunks = compute_chunks s.System.n in
-  if chunks = 1 then compute_serial t s else compute_chunked t s ~chunks
+  let { System.n; acc_x; acc_y; acc_z; _ } = s in
+  let chunks = compute_chunks n in
+  if Array.length t.chunk_acc = 0 then
+    t.chunk_acc <- Array.init chunks (fun _ -> Array.make (3 * n) 0.0);
+  let bufs = t.chunk_acc in
+  let k = terms s in
+  let chunk c =
+    accumulate_rows t s k bufs.(c) c ~lo:(c * n / chunks)
+      ~hi:((c + 1) * n / chunks)
+  in
+  if chunks = 1 then begin
+    chunk 0;
+    let buf = bufs.(0) in
+    for i = 0 to n - 1 do
+      acc_x.{i} <- buf.(3 * i);
+      acc_y.{i} <- buf.((3 * i) + 1);
+      acc_z.{i} <- buf.((3 * i) + 2)
+    done;
+    t.last_hits <- t.chunk_hits.(0);
+    t.chunk_pe.(0)
+  end
+  else begin
+    let pool = pool_of t in
+    Mdpar.parallel_for pool ~lo:0 ~hi:(chunks - 1) chunk;
+    Mdpar.parallel_for pool ~lo:0 ~hi:(n - 1) (fun i ->
+        let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 in
+        for c = 0 to chunks - 1 do
+          let buf = bufs.(c) in
+          ax := !ax +. buf.(3 * i);
+          ay := !ay +. buf.((3 * i) + 1);
+          az := !az +. buf.((3 * i) + 2)
+        done;
+        acc_x.{i} <- !ax;
+        acc_y.{i} <- !ay;
+        acc_z.{i} <- !az);
+    let pe = ref 0.0 and hits = ref 0 in
+    for c = 0 to chunks - 1 do
+      pe := !pe +. t.chunk_pe.(c);
+      hits := !hits + t.chunk_hits.(c)
+    done;
+    t.last_hits <- !hits;
+    !pe
+  end
 
 (* Serial double-precision gather over the full rows — bit-identical to
    [Forces.compute_gather_stats]: hits arrive per row in the same
@@ -429,33 +463,32 @@ let compute_full_stats t (s : System.t) =
     invalid_arg "Pairlist: engine used with a different system";
   if needs_rebuild t then build t;
   let full = full_rows t in
-  let { System.n; box; params; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Params.mass in
+  let { System.n; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } = s in
+  let k = terms s in
   let pe2 = ref 0.0 and hits = ref 0 in
   for i = 0 to n - 1 do
     let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
     let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-    Array.iter
-      (fun j ->
-        let dx = Min_image.delta ~box (xi -. pos_x.{j})
-        and dy = Min_image.delta ~box (yi -. pos_y.{j})
-        and dz = Min_image.delta ~box (zi -. pos_z.{j}) in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-        if r2 < rc2 then begin
-          let f_over_r = Params.lj_force_over_r params r2 in
-          fx := !fx +. (f_over_r *. dx);
-          fy := !fy +. (f_over_r *. dy);
-          fz := !fz +. (f_over_r *. dz);
-          pe2 := !pe2 +. Params.lj_potential params r2;
-          incr hits
-        end)
-      full.(i);
-    acc_x.{i} <- !fx *. inv_mass;
-    acc_y.{i} <- !fy *. inv_mass;
-    acc_z.{i} <- !fz *. inv_mass
+    let row = full.(i) in
+    for m = 0 to Array.length row - 1 do
+      let j = row.(m) in
+      let dx = delta k.box (xi -. pos_x.{j})
+      and dy = delta k.box (yi -. pos_y.{j})
+      and dz = delta k.box (zi -. pos_z.{j}) in
+      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+      if r2 < k.rc2 then begin
+        let s6 = s6 k r2 in
+        let f_over_r = force_over_r k s6 r2 in
+        fx := !fx +. (f_over_r *. dx);
+        fy := !fy +. (f_over_r *. dy);
+        fz := !fz +. (f_over_r *. dz);
+        pe2 := !pe2 +. potential k s6;
+        incr hits
+      end
+    done;
+    acc_x.{i} <- !fx *. k.inv_mass;
+    acc_y.{i} <- !fy *. k.inv_mass;
+    acc_z.{i} <- !fz *. k.inv_mass
   done;
   t.last_hits <- !hits;
   (0.5 *. !pe2, !hits)

@@ -55,10 +55,11 @@ val engine : t -> Engine.t
 (** An engine bound to this list's bookkeeping.  The engine must only be
     used with the system the list was created for (checked).
 
-    The compute is a Newton-3 half-list traversal.  Above
-    [compute_chunks] rows it runs chunked on the pool with per-chunk
-    force buffers merged in fixed chunk order; the chunk count is a pure
-    function of [n], so forces, PE and interaction counts are
+    The compute is a Newton-3 half-list traversal over contiguous row
+    chunks, each accumulating into its own force buffer.  Below 512
+    atoms there is one chunk, run inline; above, the chunks run on the
+    pool and their buffers merge in fixed chunk order.  The chunk count
+    is a pure function of [n], so forces, PE and interaction counts are
     byte-identical across pool sizes ([--domains]) and across rebuild
     cadence (list entries beyond the cutoff contribute nothing). *)
 

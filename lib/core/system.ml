@@ -82,8 +82,9 @@ let acceleration t i = Vec3.make t.acc_x.{i} t.acc_y.{i} t.acc_z.{i}
    per step; arbitrary inputs are handled for robustness.  A tiny
    negative remainder makes [r +. box] round to [box] exactly, which
    would leak a coordinate outside the documented range — clamp it to
-   the 0.0 it is one ulp away from. *)
-let wrap_coord box x =
+   the 0.0 it is one ulp away from.  Inline, so [wrap_atom] (every atom,
+   every step) boxes no float. *)
+let[@inline] wrap_coord box x =
   let r = Float.rem x box in
   let r = if r < 0.0 then r +. box else r in
   if r >= box then 0.0 else r

@@ -6,6 +6,7 @@ type t = {
   ways : int;
   offset_bits : int;
   index_mask : int;
+  set_bits : int;
   data : line array array; (* data.(set).(way) *)
   mutable clock : int;     (* monotonic counter for LRU ordering *)
   mutable hits : int;
@@ -29,51 +30,60 @@ let create ~line_bytes ~sets ~ways =
         Array.init ways (fun _ -> { tag = 0; valid = false; lru = 0 }))
   in
   { line_bytes; sets; ways; offset_bits = log2 line_bytes;
-    index_mask = sets - 1; data; clock = 0; hits = 0; misses = 0 }
+    index_mask = sets - 1; set_bits = log2 sets; data; clock = 0; hits = 0;
+    misses = 0 }
 
 let capacity_bytes t = t.line_bytes * t.sets * t.ways
 let line_bytes t = t.line_bytes
 
 type outcome = Hit | Miss
 
-let locate t addr =
+let block_of t addr =
   if addr < 0 then invalid_arg "Cache: negative address";
-  let block = addr lsr t.offset_bits in
-  let set = block land t.index_mask in
-  let tag = block lsr (log2 t.sets) in
-  (set, tag)
+  addr lsr t.offset_bits
+
+(* Way of the set holding [tag], or [Array.length lines] if none. *)
+let find lines tag =
+  let w = ref 0 in
+  while
+    !w < Array.length lines
+    && not (lines.(!w).valid && lines.(!w).tag = tag)
+  do
+    incr w
+  done;
+  !w
 
 let access t addr =
-  let set, tag = locate t addr in
-  let lines = t.data.(set) in
+  let block = block_of t addr in
+  let lines = t.data.(block land t.index_mask) in
+  let tag = block lsr t.set_bits in
   t.clock <- t.clock + 1;
-  let found = ref None in
-  Array.iter
-    (fun l -> if l.valid && l.tag = tag && !found = None then found := Some l)
-    lines;
-  match !found with
-  | Some l ->
-    l.lru <- t.clock;
+  let w = find lines tag in
+  if w < Array.length lines then begin
+    lines.(w).lru <- t.clock;
     t.hits <- t.hits + 1;
     Hit
-  | None ->
+  end
+  else begin
     (* Choose an invalid way if any, else the least recently used. *)
-    let victim = ref lines.(0) in
-    Array.iter
-      (fun l ->
-        if not l.valid && !victim.valid then victim := l
-        else if l.valid && !victim.valid && l.lru < !victim.lru then
-          victim := l)
-      lines;
-    !victim.tag <- tag;
-    !victim.valid <- true;
-    !victim.lru <- t.clock;
+    let victim = ref 0 in
+    for w = 1 to Array.length lines - 1 do
+      let l = lines.(w) and v = lines.(!victim) in
+      if (not l.valid) && v.valid then victim := w
+      else if l.valid && v.valid && l.lru < v.lru then victim := w
+    done;
+    let v = lines.(!victim) in
+    v.tag <- tag;
+    v.valid <- true;
+    v.lru <- t.clock;
     t.misses <- t.misses + 1;
     Miss
+  end
 
 let contains t addr =
-  let set, tag = locate t addr in
-  Array.exists (fun l -> l.valid && l.tag = tag) t.data.(set)
+  let block = block_of t addr in
+  let lines = t.data.(block land t.index_mask) in
+  find lines (block lsr t.set_bits) < Array.length lines
 
 let hits t = t.hits
 let misses t = t.misses

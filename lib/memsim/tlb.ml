@@ -2,8 +2,11 @@ type t = {
   page_bits : int;
   entries : int;
   miss_cycles : int;
-  (* page number -> last-use stamp *)
-  resident : (int, int) Hashtbl.t;
+  (* Resident page numbers in slots [0, used), each with its last-use
+     stamp. *)
+  pages : int array;
+  stamps : int array;
+  mutable used : int;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -27,34 +30,42 @@ let create ?(page_bytes = 4096) ?(entries = 32) ?(miss_cycles = 25) () =
     else None
   in
   { page_bits = log2 page_bytes; entries; miss_cycles;
-    resident = Hashtbl.create 64; clock = 0; hits = 0; misses = 0;
+    pages = Array.make entries 0; stamps = Array.make entries 0; used = 0;
+    clock = 0; hits = 0; misses = 0;
     prof_hits = prof "mem/tlb_hits"; prof_misses = prof "mem/tlb_misses" }
 
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun page stamp ->
-      match !victim with
-      | Some (_, s) when s <= stamp -> ()
-      | _ -> victim := Some (page, stamp))
-    t.resident;
-  match !victim with
-  | Some (page, _) -> Hashtbl.remove t.resident page
-  | None -> ()
+(* Stamps are unique, so the least recently used page is too. *)
+let lru_slot t =
+  let v = ref 0 in
+  for k = 1 to t.used - 1 do
+    if t.stamps.(k) < t.stamps.(!v) then v := k
+  done;
+  !v
 
 let access t addr =
   if addr < 0 then invalid_arg "Tlb.access: negative address";
   let page = addr lsr t.page_bits in
   t.clock <- t.clock + 1;
-  if Hashtbl.mem t.resident page then begin
-    Hashtbl.replace t.resident page t.clock;
+  let k = ref 0 in
+  while !k < t.used && t.pages.(!k) <> page do
+    incr k
+  done;
+  if !k < t.used then begin
+    t.stamps.(!k) <- t.clock;
     t.hits <- t.hits + 1;
     (match t.prof_hits with Some c -> Mdprof.incr c | None -> ());
     0
   end
   else begin
-    if Hashtbl.length t.resident >= t.entries then evict_lru t;
-    Hashtbl.replace t.resident page t.clock;
+    let slot =
+      if t.used < t.entries then begin
+        t.used <- t.used + 1;
+        t.used - 1
+      end
+      else lru_slot t
+    in
+    t.pages.(slot) <- page;
+    t.stamps.(slot) <- t.clock;
     t.misses <- t.misses + 1;
     (match t.prof_misses with Some c -> Mdprof.incr c | None -> ());
     t.miss_cycles
@@ -70,7 +81,7 @@ let miss_rate t =
 let reach_bytes t = t.entries * (1 lsl t.page_bits)
 
 let flush t =
-  Hashtbl.reset t.resident;
+  t.used <- 0;
   t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0

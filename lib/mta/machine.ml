@@ -155,13 +155,14 @@ let for_loop t ~loop ~n ~f =
           f i
         done)
 
+let sync_cycles t =
+  float_of_int t.cfg.sync_retry_cycles /. t.current_concurrency
+
 let charge_sync_op t =
   (match t.prof with
   | Some p -> Mdprof.incr p.p_sync_retries
   | None -> ());
-  let cycles =
-    float_of_int t.cfg.sync_retry_cycles /. t.current_concurrency
-  in
+  let cycles = sync_cycles t in
   (* A hot full/empty bit makes this sync op spin through a storm of
      extra retries; the livelock watchdog in Mdfault.storm raises once
      too many consecutive ops storm.  Backoff accrues at full rate —
@@ -180,3 +181,29 @@ let charge_sync_op t =
         backoff )
   in
   charge t Sync (Units.seconds_of_cycles t.cfg.clock cycles +. backoff)
+
+(* Without a live retry-fault stream every op charges the same amount,
+   so the k clock and ledger additions run as local loops — bitwise the
+   k separate [charge] calls.  With one, each op keeps its own storm
+   draw, in order. *)
+let charge_sync_ops t k =
+  if k < 0 then invalid_arg "Mta.Machine.charge_sync_ops: k < 0";
+  if not (Mdfault.inert t.ft_retry) then
+    for _ = 1 to k do
+      charge_sync_op t
+    done
+  else if k > 0 then begin
+    (match t.prof with
+    | Some p -> Mdprof.add p.p_sync_retries k
+    | None -> ());
+    (* [+. 0.0]: the zero backoff [charge_sync_op] adds. *)
+    let seconds =
+      Units.seconds_of_cycles t.cfg.clock (sync_cycles t) +. 0.0
+    in
+    let wall = ref t.wall in
+    for _ = 1 to k do
+      wall := !wall +. seconds
+    done;
+    t.wall <- !wall;
+    Ledger.add_repeated t.ledger Sync seconds k
+  end

@@ -52,3 +52,10 @@ val concurrency : t -> n:int -> int
 
 val charge_sync_op : t -> unit
 (** Account one full/empty-bit operation (called by {!Sync_cell}). *)
+
+val charge_sync_ops : t -> int -> unit
+(** [charge_sync_ops t k] accounts [k] full/empty-bit operations:
+    machine time, the [Sync] ledger category and [mta/sync_retries]
+    end bitwise as after [k] calls of {!charge_sync_op}, and so do the
+    [mta-retry] fault draws when that stream is live.  Raises
+    [Invalid_argument] if [k < 0]. *)

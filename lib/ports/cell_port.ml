@@ -25,38 +25,12 @@ let default_config =
 (* Single-precision physics                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One gather row in binary32: the arithmetic every SPE variant performs
-   (the SIMD rewrites change scheduling, not values).  Returns the row's
-   acceleration components, its (double-counted) PE contribution and its
-   interaction count. *)
-let f32_row p n (px : Mdcore.System.f32buf) (py : Mdcore.System.f32buf)
-    (pz : Mdcore.System.f32buf) i =
-  let xi = px.{i} and yi = py.{i} and zi = pz.{i} in
-  let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 in
-  let pe = ref 0.0 and hits = ref 0 in
-  for j = 0 to n - 1 do
-    if j <> i then begin
-      let dx = F32_kernel.min_image p (F32.sub xi px.{j}) in
-      let dy = F32_kernel.min_image p (F32.sub yi py.{j}) in
-      let dz = F32_kernel.min_image p (F32.sub zi pz.{j}) in
-      let r2 = F32_kernel.r2 p ~dx ~dy ~dz in
-      match F32_kernel.pair_terms p r2 with
-      | Some (coeff, pe_term) ->
-        ax := F32.add !ax (F32.mul coeff dx);
-        ay := F32.add !ay (F32.mul coeff dy);
-        az := F32.add !az (F32.mul coeff dz);
-        pe := F32.add !pe pe_term;
-        incr hits
-      | None -> ()
-    end
-  done;
-  (!ax, !ay, !az, !pe, !hits)
-
-(* Full force evaluation: stage positions to binary32, run every row,
-   write accelerations back.  [row_hits] (length n) receives per-row
-   interaction counts. *)
-let f32_compute ~row_hits (s : Mdcore.System.t) =
-  let n = s.Mdcore.System.n in
+(* Full binary32 force evaluation: stage positions to binary32, run
+   every row through the shared kernel loop, write accelerations back.
+   The arithmetic every SPE variant performs is the same (the SIMD
+   rewrites change scheduling, not values).  [row_hits] (length n)
+   receives per-row interaction counts. *)
+let f32_compute_over partners ~row_hits (s : Mdcore.System.t) =
   let p = F32_kernel.of_system s in
   (* Binary32 staging through the system's reusable buffers: a Float32
      bigarray store rounds to nearest single exactly like [F32.round],
@@ -64,16 +38,20 @@ let f32_compute ~row_hits (s : Mdcore.System.t) =
      [Array.map F32.round] copies — without the per-evaluation
      allocation. *)
   let px, py, pz = Mdcore.System.stage_positions_f32 s in
+  let src = F32_kernel.Staged (px, py, pz) in
+  let acc = F32_kernel.acc () in
   let pe2 = ref 0.0 in
-  for i = 0 to n - 1 do
-    let ax, ay, az, pe_row, hits = f32_row p n px py pz i in
-    s.Mdcore.System.acc_x.{i} <- ax;
-    s.Mdcore.System.acc_y.{i} <- ay;
-    s.Mdcore.System.acc_z.{i} <- az;
-    pe2 := !pe2 +. pe_row;
-    row_hits.(i) <- hits
+  for i = 0 to s.Mdcore.System.n - 1 do
+    row_hits.(i) <- F32_kernel.gather p acc src partners i;
+    s.Mdcore.System.acc_x.{i} <- acc.F32_kernel.ax;
+    s.Mdcore.System.acc_y.{i} <- acc.F32_kernel.ay;
+    s.Mdcore.System.acc_z.{i} <- acc.F32_kernel.az;
+    pe2 := !pe2 +. acc.F32_kernel.pe
   done;
   0.5 *. !pe2
+
+let f32_compute ~row_hits (s : Mdcore.System.t) =
+  f32_compute_over (F32_kernel.All s.Mdcore.System.n) ~row_hits s
 
 (* Double-precision row gather with per-row hit recording — the physics of
    the hypothetical DP port (identical to the reference kernel; recorded
@@ -118,37 +96,8 @@ let dp_compute ~row_hits (s : Mdcore.System.t) =
    same in-cutoff tests and contribute nothing, and in-cutoff partners
    arrive in the same ascending order, so both are bit-identical to
    their N² counterparts on the same positions. *)
-let f32_compute_rows ~row_hits rows (s : Mdcore.System.t) =
-  let n = s.Mdcore.System.n in
-  let p = F32_kernel.of_system s in
-  let px, py, pz = Mdcore.System.stage_positions_f32 s in
-  let pe2 = ref 0.0 in
-  for i = 0 to n - 1 do
-    let xi = px.{i} and yi = py.{i} and zi = pz.{i} in
-    let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 in
-    let pe = ref 0.0 and hits = ref 0 in
-    Array.iter
-      (fun j ->
-        let dx = F32_kernel.min_image p (F32.sub xi px.{j}) in
-        let dy = F32_kernel.min_image p (F32.sub yi py.{j}) in
-        let dz = F32_kernel.min_image p (F32.sub zi pz.{j}) in
-        let r2 = F32_kernel.r2 p ~dx ~dy ~dz in
-        match F32_kernel.pair_terms p r2 with
-        | Some (coeff, pe_term) ->
-          ax := F32.add !ax (F32.mul coeff dx);
-          ay := F32.add !ay (F32.mul coeff dy);
-          az := F32.add !az (F32.mul coeff dz);
-          pe := F32.add !pe pe_term;
-          incr hits
-        | None -> ())
-      (rows.(i) : int array);
-    s.Mdcore.System.acc_x.{i} <- !ax;
-    s.Mdcore.System.acc_y.{i} <- !ay;
-    s.Mdcore.System.acc_z.{i} <- !az;
-    pe2 := !pe2 +. !pe;
-    row_hits.(i) <- !hits
-  done;
-  0.5 *. !pe2
+let f32_compute_rows ~row_hits rows s =
+  f32_compute_over (F32_kernel.Rows rows) ~row_hits s
 
 let dp_compute_rows ~row_hits rows (s : Mdcore.System.t) =
   let { Mdcore.System.n; box; params; pos_x; pos_y; pos_z;

@@ -1,9 +1,9 @@
 (** Shared binary32 arithmetic of the MD pair kernel.
 
     The Cell and GPU ports both run the force evaluation in single
-    precision; this module centralizes the staged constants and the
-    per-pair math so the two ports (and their tests) agree bit-for-bit on
-    the arithmetic they model. *)
+    precision; this module centralizes the staged constants, the
+    per-pair math and the gather loop itself, so the two ports (and
+    their tests) agree bit-for-bit on the arithmetic they model. *)
 
 type params = {
   box : float;
@@ -31,4 +31,43 @@ val pair_terms : params -> float -> (float * float) option
     ([0 < r2 < rc2]): [coeff] is the acceleration coefficient
     (force/r x 1/m) and [pe] the pair's PE contribution, both binary32.
     [None] outside the cutoff (or at zero distance — the GPU shader's
-    self-exclusion test). *)
+    self-exclusion test).  Together with {!min_image} and {!r2} this is
+    the reference {!gather} is tested against. *)
+
+(** {1 The gather loop} *)
+
+type acc = {
+  mutable ax : float;
+  mutable ay : float;
+  mutable az : float;
+  mutable pe : float;
+}
+(** One row's binary32 sums: acceleration components and the row's
+    (double-counted) PE contribution. *)
+
+val acc : unit -> acc
+(** A zeroed accumulator; {!gather} resets it, so one can serve every
+    row of an evaluation. *)
+
+type source =
+  | Staged of Mdcore.System.f32buf * Mdcore.System.f32buf * Mdcore.System.f32buf
+      (** Cell: the staged binary32 position streams. *)
+  | Texture of Gpustream.Machine.sampler * int array
+      (** GPU: position texels on input 0.  With {!Rows} partners the
+          int array holds each row's first slot in the packed index
+          texture: the fragment fetches its row descriptor (input 1)
+          once, then per entry one index texel (input 2) before the
+          partner's position texel — the order that carries the
+          texture-fetch counters and texture fault draws. *)
+
+type partners =
+  | All of int  (** every j in [0, n): the N² sweep *)
+  | Rows of int array array  (** full neighbour-list rows *)
+
+val gather : params -> acc -> source -> partners -> int -> int
+(** [gather p acc src partners i] runs atom [i]'s row and returns its
+    interaction count, leaving the row's sums in [acc].  Per partner it
+    is exactly [min_image] on each rounded coordinate difference, {!r2},
+    then {!pair_terms}, accumulated in partner order with binary32 adds.
+    [All] includes [j = i], which the [r2 > 0] test excludes, as the
+    GPU shader's does.  Allocates nothing per partner. *)

@@ -15,62 +15,22 @@ let charge_host_block machine block ~iterations =
       (host_seconds
          (Pipe.loop_cycles block ~iterations ~overlap:Kernels.opteron_overlap))
 
-(* The fragment program: gather over the whole position texture,
-   accumulating acceleration in xyz and the PE contribution in w. *)
-let fragment p n hits sampler i =
-  let own = Machine.sample sampler ~input:0 i in
-  let xi = Vec4f.x own and yi = Vec4f.y own and zi = Vec4f.z own in
-  let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 and pe = ref 0.0 in
-  for j = 0 to n - 1 do
-    let posj = Machine.sample sampler ~input:0 j in
-    let dx = F32_kernel.min_image p (F32.sub xi (Vec4f.x posj)) in
-    let dy = F32_kernel.min_image p (F32.sub yi (Vec4f.y posj)) in
-    let dz = F32_kernel.min_image p (F32.sub zi (Vec4f.z posj)) in
-    let r2 = F32_kernel.r2 p ~dx ~dy ~dz in
-    (* The shader cannot test j <> i; coincident atoms are excluded by the
-       r2 > 0 guard inside [pair_terms], exactly as the real shader does. *)
-    match F32_kernel.pair_terms p r2 with
-    | Some (coeff, pe_term) ->
-      ax := F32.add !ax (F32.mul coeff dx);
-      ay := F32.add !ay (F32.mul coeff dy);
-      az := F32.add !az (F32.mul coeff dz);
-      pe := F32.add !pe pe_term;
-      incr hits
-    | None -> ()
-  done;
-  Vec4f.make !ax !ay !az !pe
-
-(* Pairlist fragment: walk this row of the neighbour list instead of
-   the whole position texture.  Per entry the shader fetches the packed
-   index texel (input 2, four indices per float4) and the neighbour's
-   position (input 0); the per-row (start, count) descriptor (input 1)
-   is fetched once.  The arithmetic per contributing pair is exactly the
-   brute fragment's, in the same ascending-j order, so trajectories are
-   bitwise those of the N² shader. *)
-let fragment_rows p rows starts hits sampler i =
-  let own = Machine.sample sampler ~input:0 i in
-  ignore (Machine.sample sampler ~input:1 i);
-  let xi = Vec4f.x own and yi = Vec4f.y own and zi = Vec4f.z own in
-  let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 and pe = ref 0.0 in
-  let row : int array = rows.(i) and start : int = starts.(i) in
-  Array.iteri
-    (fun k j ->
-      ignore (Machine.sample sampler ~input:2 ((start + k) lsr 2));
-      let posj = Machine.sample sampler ~input:0 j in
-      let dx = F32_kernel.min_image p (F32.sub xi (Vec4f.x posj)) in
-      let dy = F32_kernel.min_image p (F32.sub yi (Vec4f.y posj)) in
-      let dz = F32_kernel.min_image p (F32.sub zi (Vec4f.z posj)) in
-      let r2 = F32_kernel.r2 p ~dx ~dy ~dz in
-      match F32_kernel.pair_terms p r2 with
-      | Some (coeff, pe_term) ->
-        ax := F32.add !ax (F32.mul coeff dx);
-        ay := F32.add !ay (F32.mul coeff dy);
-        az := F32.add !az (F32.mul coeff dz);
-        pe := F32.add !pe pe_term;
-        incr hits
-      | None -> ())
-    row;
-  Vec4f.make !ax !ay !az !pe
+(* The fragment program: one row of the shared binary32 gather,
+   accumulating acceleration in xyz and the PE contribution in w.  The
+   brute shader ([All]) reads the whole position texture and cannot
+   test j <> i; coincident atoms are excluded by the r2 > 0 guard, as
+   the real shader does.  The pairlist shader ([Rows]) walks its row of
+   the neighbour list: it fetches the per-row (start, count) descriptor
+   (input 1) once, then per entry the packed index texel (input 2, four
+   indices per float4) and the neighbour's position (input 0).  The
+   arithmetic per contributing pair is exactly the brute fragment's, in
+   the same ascending-j order, so trajectories are bitwise those of the
+   N² shader. *)
+let fragment p acc partners starts hits sampler i =
+  hits :=
+    !hits + F32_kernel.gather p acc (Texture (sampler, starts)) partners i;
+  Vec4f.make acc.F32_kernel.ax acc.F32_kernel.ay acc.F32_kernel.az
+    acc.F32_kernel.pe
 
 type pe_strategy = Readback_w | Gpu_reduction
 
@@ -235,11 +195,12 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
         charge_host_block m Kernels.ppe_stage_block ~iterations:n;
         Machine.upload m positions staging;
         let hits = ref 0 in
+        let acc = F32_kernel.acc () in
         (match pl with
         | None ->
           Machine.dispatch m shader ~inputs:[ positions ] ~target:accels
             ~loop_trip:n
-            ~f:(fragment p n hits)
+            ~f:(fragment p acc (All n) [||] hits)
             ();
           body_iters := !body_iters + (n * n);
           pairs_total := !pairs_total + (n * n)
@@ -252,16 +213,16 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
             ~inputs:
               [ positions; Option.get !row_tex; Option.get !idx_tex ]
             ~target:accels ~loop_trip:lt
-            ~f:(fragment_rows p !rows !row_start hits)
+            ~f:(fragment p acc (Rows !rows) !row_start hits)
             ();
           body_iters := !body_iters + (n * lt);
           pairs_total := !pairs_total + !entries);
         hits_total := !hits_total + !hits;
         let result = Machine.readback m accels in
         for i = 0 to n - 1 do
-          sys.Mdcore.System.acc_x.{i} <- Vec4f.x result.(i);
-          sys.Mdcore.System.acc_y.{i} <- Vec4f.y result.(i);
-          sys.Mdcore.System.acc_z.{i} <- Vec4f.z result.(i)
+          sys.Mdcore.System.acc_x.{i} <- result.(i).Vec4f.a;
+          sys.Mdcore.System.acc_y.{i} <- result.(i).Vec4f.b;
+          sys.Mdcore.System.acc_z.{i} <- result.(i).Vec4f.c
         done;
         charge_host_block m Kernels.ppe_stage_block ~iterations:n;
         match pe_strategy with
@@ -271,7 +232,7 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
              task". *)
           let pe2 = ref 0.0 in
           for i = 0 to n - 1 do
-            pe2 := !pe2 +. Vec4f.w result.(i)
+            pe2 := !pe2 +. result.(i).Vec4f.d
           done;
           0.5 *. !pe2
         | Gpu_reduction ->

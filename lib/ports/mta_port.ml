@@ -59,8 +59,8 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
         in
         (* In the fully multithreaded version the PE reduction lives
            inside the loop body as a full/empty-bit accumulate; each
-           interaction performs one synchronized update. *)
-        let pe_cell = Mta.Sync_cell.create_full m 0.0 in
+           interaction performs one synchronized update, a
+           [Sync_cell.fetch_add]: two sync operations. *)
         let pe, hits =
           Machine.charged_region m ~loop:(pair_loop mode) ~n:pairs
             ~f:(fun () ->
@@ -70,9 +70,7 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
                 | Some pl -> Mdcore.Pairlist.compute_full_stats pl sys
               in
               if mode = Fully_multithreaded then
-                for _ = 1 to hits do
-                  ignore (Mta.Sync_cell.fetch_add pe_cell 1.0)
-                done;
+                Machine.charge_sync_ops m (2 * hits);
               (pe, hits))
         in
         Machine.charged_region m ~loop:(hit_loop mode) ~n:hits

@@ -41,13 +41,12 @@ let make_mem_model cfg ~n =
 let replay_row mm =
   let excess = ref 0 in
   for j = 0 to mm.n - 1 do
-    Array.iter
-      (fun base ->
-        let addr = base + (8 * j) in
-        excess :=
-          !excess + Hierarchy.access mm.hier addr - mm.l1_hit
-          + Memsim.Tlb.access mm.tlb addr)
-      mm.pos_bases
+    for b = 0 to Array.length mm.pos_bases - 1 do
+      let addr = mm.pos_bases.(b) + (8 * j) in
+      excess :=
+        !excess + Hierarchy.access mm.hier addr - mm.l1_hit
+        + Memsim.Tlb.access mm.tlb addr
+    done
   done;
   !excess
 
@@ -65,15 +64,14 @@ let pair_excess_cycles mm =
 (* The integration step walks all nine arrays linearly (read + write). *)
 let integration_excess_cycles mm =
   let excess = ref 0 in
-  Array.iter
-    (fun base ->
-      for i = 0 to mm.n - 1 do
-        let addr = base + (8 * i) in
-        excess :=
-          !excess + Hierarchy.access mm.hier addr - mm.l1_hit
-          + Memsim.Tlb.access mm.tlb addr
-      done)
-    mm.all_bases;
+  for b = 0 to Array.length mm.all_bases - 1 do
+    for i = 0 to mm.n - 1 do
+      let addr = mm.all_bases.(b) + (8 * i) in
+      excess :=
+        !excess + Hierarchy.access mm.hier addr - mm.l1_hit
+        + Memsim.Tlb.access mm.tlb addr
+    done
+  done;
   float_of_int !excess
 
 let per_iter block =

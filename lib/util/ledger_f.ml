@@ -11,6 +11,7 @@ module type S = sig
 
   val create : unit -> t
   val add : t -> category -> float -> unit
+  val add_repeated : t -> category -> float -> int -> unit
   val get : t -> category -> float
   val total : t -> float
   val fraction : t -> category -> float
@@ -40,6 +41,15 @@ module Make (C : Category) : S with type category = C.t = struct
     if seconds < 0.0 then invalid_arg "Ledger.add: negative time";
     let i = index cat in
     t.(i) <- t.(i) +. seconds
+
+  let add_repeated t cat seconds k =
+    if seconds < 0.0 then invalid_arg "Ledger.add: negative time";
+    let i = index cat in
+    let v = ref t.(i) in
+    for _ = 1 to k do
+      v := !v +. seconds
+    done;
+    t.(i) <- !v
 
   let get t cat = t.(index cat)
   let total t = Array.fold_left ( +. ) 0.0 t

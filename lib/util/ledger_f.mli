@@ -22,6 +22,10 @@ module type S = sig
   val add : t -> category -> float -> unit
   (** Seconds must be nonnegative; raises [Invalid_argument] otherwise. *)
 
+  val add_repeated : t -> category -> float -> int -> unit
+  (** [add_repeated t cat seconds k] is [k] successive [add t cat
+      seconds], each sum rounded in turn, so bitwise the same. *)
+
   val get : t -> category -> float
   val total : t -> float
 

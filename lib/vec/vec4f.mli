@@ -9,7 +9,10 @@
 
     Values are immutable.  Lane indices are 0..3. *)
 
-type t
+type t = private { a : float; b : float; c : float; d : float }
+(** Lanes 0..3.  The record is private so inner loops read lanes as
+    plain field loads; every value is still built through {!make} (or
+    an operation below), which rounds each lane to binary32. *)
 
 val make : float -> float -> float -> float -> t
 (** Each component is rounded to binary32. *)

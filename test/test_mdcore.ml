@@ -605,6 +605,64 @@ let test_pairlist_chunked_domain_invariant () =
   Alcotest.(check bool) "chunked ~ full gather to 1e-12" true
     (System.max_acceleration_delta d1 full < 1e-12)
 
+(* Systems for the bitwise tests of the rewritten force loops, each with
+   the skin its pairlist uses: [Init.build] configurations at N = 128
+   (skin 0.1, so the narrow box admits a list), 600 and 2048, and three
+   boxes on the list's edges — exactly 2·(rc+skin) (admissible,
+   brute-built), 3·(rc+skin) and 4·(rc+skin) (cell-binned, at exact
+   cell-width multiples) — each with atoms parked at 0 and one ulp
+   below the box. *)
+let bitwise_systems () =
+  let skin = Pairlist.default_skin in
+  let reach = p.Params.cutoff +. skin in
+  let edge_box m =
+    let box = float_of_int m *. reach in
+    let n = int_of_float (0.8 *. box *. box *. box) in
+    let base = Init.build ~seed:(40 + m) ~n () in
+    let s = System.create ~n ~box ~params:p in
+    let scale = box /. base.System.box in
+    let place (dst : System.buf) (src : System.buf) =
+      for i = 0 to n - 1 do
+        dst.{i} <- System.wrap_coord box (src.{i} *. scale)
+      done
+    in
+    place s.System.pos_x base.System.pos_x;
+    place s.System.pos_y base.System.pos_y;
+    place s.System.pos_z base.System.pos_z;
+    let top = Float.pred box in
+    s.System.pos_x.{0} <- 0.0; s.System.pos_y.{0} <- 0.0;
+    s.System.pos_z.{0} <- top;
+    s.System.pos_x.{1} <- top; s.System.pos_y.{1} <- top;
+    s.System.pos_z.{1} <- 0.0;
+    (Printf.sprintf "box %d(rc+skin), n=%d" m n, s, skin)
+  in
+  [ ("n=128", Init.build ~seed:5 ~n:128 (), 0.1);
+    ("n=600", Init.build ~seed:6 ~n:600 (), skin);
+    ("n=2048", Init.build ~seed:8 ~n:2048 (), skin) ]
+  @ List.map edge_box [ 2; 3; 4 ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_full_stats_matches_gather_bitwise () =
+  List.iter
+    (fun (name, base, skin) ->
+      let reference = System.copy base and s = System.copy base in
+      let pe_ref, hits_ref = Forces.compute_gather_stats reference in
+      let pe, hits = Pairlist.compute_full_stats (Pairlist.create ~skin s) s in
+      Alcotest.(check int) (name ^ ": hits") hits_ref hits;
+      if not (same_bits pe_ref pe) then
+        Alcotest.failf "%s: PE %h <> %h" name pe pe_ref;
+      List.iter
+        (fun (axis, (a : System.buf), (b : System.buf)) ->
+          for i = 0 to s.System.n - 1 do
+            if not (same_bits a.{i} b.{i}) then
+              Alcotest.failf "%s: acc_%s.{%d} %h <> %h" name axis i b.{i} a.{i}
+          done)
+        [ ("x", reference.System.acc_x, s.System.acc_x);
+          ("y", reference.System.acc_y, s.System.acc_y);
+          ("z", reference.System.acc_z, s.System.acc_z) ])
+    (bitwise_systems ())
+
 let test_cell_list_matches_reference () =
   let s1 = Init.build ~seed:19 ~n:512 () in
   let s2 = System.copy s1 in
@@ -943,4 +1001,7 @@ let tests =
       Alcotest.test_case "diffusion positive" `Quick
         test_diffusion_positive_in_fluid;
       Alcotest.test_case "vacf validation" `Quick test_vacf_validation;
-      qcheck translation_invariance_prop ] )
+      qcheck translation_invariance_prop;
+      Alcotest.test_case "pairlist full stats = gather bitwise" `Quick
+        test_full_stats_matches_gather_bitwise
+    ] )

@@ -173,6 +173,65 @@ let test_sync_cheaper_inside_parallel_region () =
   Alcotest.(check bool) "contention amortized across streams" true
     (cost_in_region ~loop:pragma_loop < cost_in_region ~loop:serial_loop)
 
+(* [charge_sync_ops m k] leaves the clock, the Sync ledger category and
+   mta/sync_retries bitwise where k [charge_sync_op] calls do — inside a
+   parallel region (fractional per-op cost) and out of one, without a
+   fault plan and with a live mta-retry stream (whose per-op storm draws
+   it must replay in order). *)
+let test_charge_sync_ops_matches_single_ops () =
+  let k = 5000 in
+  let run ~batched ~loop spec =
+    let go () =
+      Mdprof.clear ();
+      Mdprof.enable ();
+      Fun.protect ~finally:Mdprof.clear (fun () ->
+          let m = Machine.create cfg in
+          Machine.charged_region m ~loop ~n:1000 ~f:(fun () ->
+              if batched then Machine.charge_sync_ops m k
+              else
+                for _ = 1 to k do
+                  Machine.charge_sync_op m
+                done);
+          let retries =
+            match Mdprof.find "mta/sync_retries" with
+            | Some c -> c.Mdprof.s_value
+            | None -> Alcotest.fail "mta/sync_retries not registered"
+          in
+          [ Machine.time m;
+            Ledger.get (Machine.ledger m) Ledger.Sync;
+            retries ])
+    in
+    match spec with
+    | None -> go ()
+    | Some text ->
+      (match Mdfault.parse_spec text with
+      | Ok plan -> Mdfault.install plan
+      | Error e -> Alcotest.failf "bad fault spec %S: %s" text e);
+      Fun.protect ~finally:Mdfault.uninstall go
+  in
+  let agree (spec, loop) =
+    let single = run ~batched:false ~loop spec
+    and batched = run ~batched:true ~loop spec in
+    List.iter2
+      (fun a b ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %s: %h = %h"
+             (Option.value spec ~default:"no plan") loop.Loop.name a b)
+          true
+          (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
+      single batched;
+    List.nth single 1
+  in
+  let clean = agree (None, pragma_loop) in
+  ignore (agree (None, serial_loop));
+  let stormy = agree (Some "mta-retry:0.05,seed=5", pragma_loop) in
+  Alcotest.(check bool) "the retry stream stormed" true (stormy > clean);
+  Alcotest.(check bool) "negative count rejected" true
+    (try
+       Machine.charge_sync_ops (Machine.create cfg) (-1);
+       false
+     with Invalid_argument _ -> true)
+
 (* ---------------- Parallel primitives ---------------- *)
 
 let test_par_reduce_sum () =
@@ -273,4 +332,7 @@ let tests =
       Alcotest.test_case "par map" `Quick test_par_map;
       Alcotest.test_case "work queue drains" `Quick
         test_work_queue_drains_all;
-      Alcotest.test_case "work queue empty" `Quick test_work_queue_empty ] )
+      Alcotest.test_case "work queue empty" `Quick test_work_queue_empty;
+      Alcotest.test_case "batched sync charge = single ops" `Quick
+        test_charge_sync_ops_matches_single_ops
+    ] )

@@ -11,6 +11,10 @@ module Mta = Mdports.Mta_port
 module Opteron = Mdports.Opteron_port
 module F32k = Mdports.F32_kernel
 module Rr = Mdports.Run_result
+module Pairlist = Mdcore.Pairlist
+module Gm = Gpustream.Machine
+module Vec4f = Vecmath.Vec4f
+module F32 = Sim_util.F32
 
 let sys ?(n = 128) () = Init.build ~seed:31 ~n ()
 
@@ -35,6 +39,176 @@ let test_f32_pair_terms_cutoff () =
     (F32k.pair_terms p 0.0 = None);
   Alcotest.(check bool) "inside interacts" true
     (F32k.pair_terms p 1.0 <> None)
+
+(* The reference for [F32k.gather]: [min_image], [r2] and [pair_terms]
+   per partner, summed with [F32] adds in partner order. *)
+let f32_reference p
+    ((px, py, pz) : System.f32buf * System.f32buf * System.f32buf) partners i =
+  let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 and pe = ref 0.0 in
+  let hits = ref 0 in
+  Array.iter
+    (fun j ->
+      let dx = F32k.min_image p (F32.sub px.{i} px.{j})
+      and dy = F32k.min_image p (F32.sub py.{i} py.{j})
+      and dz = F32k.min_image p (F32.sub pz.{i} pz.{j}) in
+      match F32k.pair_terms p (F32k.r2 p ~dx ~dy ~dz) with
+      | Some (coeff, e) ->
+        ax := F32.add !ax (F32.mul coeff dx);
+        ay := F32.add !ay (F32.mul coeff dy);
+        az := F32.add !az (F32.mul coeff dz);
+        pe := F32.add !pe e;
+        incr hits
+      | None -> ())
+    partners;
+  (!ax, !ay, !az, !pe, !hits)
+
+let row_starts rows =
+  let starts = Array.make (Array.length rows) 0 in
+  for i = 1 to Array.length rows - 1 do
+    starts.(i) <- starts.(i - 1) + Array.length rows.(i - 1)
+  done;
+  starts
+
+(* Every source and partner set of the binary32 gather matches the
+   reference bit for bit: the N² sweep against all j <> i (the
+   reference skips the self pair the loop leaves to its r2 > 0 test),
+   and the full list rows; from the staged streams (Cell) and from
+   float4 texels inside a shader dispatch (GPU). *)
+let test_f32_gather_matches_pair_terms () =
+  List.iter
+    (fun (name, base, skin) ->
+      let s = System.copy base in
+      let n = s.System.n in
+      let p = F32k.of_system s in
+      let ((px, py, pz) as staged) = System.stage_positions_f32 s in
+      let pl = Pairlist.create ~skin s in
+      Pairlist.force_rebuild pl;
+      let rows = Pairlist.full_rows pl in
+      let expect partners =
+        Array.init n (fun i -> f32_reference p staged (partners i) i)
+      in
+      let all_but i =
+        Array.init (n - 1) (fun k -> if k < i then k else k + 1)
+      in
+      let cases =
+        [ ("all", F32k.All n, expect all_but);
+          ("rows", F32k.Rows rows, expect (Array.get rows)) ]
+      in
+      let acc = F32k.acc () in
+      let check what i (ax, ay, az, pe, hits) h =
+        let same = Test_mdcore.same_bits in
+        if not (h = hits && same acc.F32k.ax ax && same acc.F32k.ay ay
+                && same acc.F32k.az az && same acc.F32k.pe pe)
+        then Alcotest.failf "%s, %s: row %d differs from the reference" name
+            what i
+      in
+      List.iter
+        (fun (what, partners, expect) ->
+          for i = 0 to n - 1 do
+            let h = F32k.gather p acc (F32k.Staged (px, py, pz)) partners i in
+            check ("staged " ^ what) i expect.(i) h
+          done)
+        cases;
+      let m = Gm.create Gpustream.Config.geforce_7900gtx in
+      let positions = Gm.create_texture m ~name:"positions" ~texels:n in
+      Gm.upload m positions
+        (Array.init n (fun i -> Vec4f.make px.{i} py.{i} pz.{i} 0.0));
+      let descriptors = Gm.create_texture m ~name:"rows" ~texels:n in
+      let indices =
+        Gm.create_texture m ~name:"indices"
+          ~texels:(max 1 ((Pairlist.full_entry_count pl + 3) / 4))
+      in
+      let target = Gm.create_render_target m ~name:"out" ~texels:n in
+      let shader =
+        Gm.compile m ~name:"gather" ~body:Mdports.Kernels.gpu_candidate
+          ~prologue:Mdports.Kernels.gpu_fragment_prologue
+      in
+      let starts = row_starts rows in
+      List.iter
+        (fun (what, partners, expect) ->
+          Gm.dispatch m shader ~inputs:[ positions; descriptors; indices ]
+            ~target
+            ~f:(fun sampler i ->
+              let src = F32k.Texture (sampler, starts) in
+              let h = F32k.gather p acc src partners i in
+              check ("texture " ^ what) i expect.(i) h;
+              Vec4f.zero)
+            ())
+        cases)
+    (Test_mdcore.bitwise_systems ())
+
+(* Allocation guard for the force, integration and memory-replay loops.
+   On a 2048-atom system with its list already built, one evaluation of
+   each may grow the minor heap by a few words per atom (per-fragment
+   descriptors) but not per list entry (about 170k here): a closure,
+   boxed float or per-pair option back in one of these loops fails it.
+   The replay sweep is measured as the growth from 1 to 2048 atoms,
+   which cancels the cache model's fixed set-up. *)
+let test_hot_loops_allocation_free () =
+  let n = 2048 in
+  let pool = Mdpar.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Mdpar.shutdown pool) (fun () ->
+      let s = Init.build ~seed:3 ~n () in
+      let pl = Pairlist.create ~pool s in
+      Pairlist.force_rebuild pl;
+      let rows = Pairlist.full_rows pl in
+      let newton3 = (Pairlist.engine pl).Mdcore.Engine.compute in
+      ignore (newton3 s);
+      let p = F32k.of_system s in
+      let px, py, pz = System.stage_positions_f32 s in
+      let acc = F32k.acc () in
+      let staged = F32k.Staged (px, py, pz) and partners = F32k.Rows rows in
+      let m = Gm.create Gpustream.Config.geforce_7900gtx in
+      let positions = Gm.create_texture m ~name:"positions" ~texels:n in
+      Gm.upload m positions
+        (Array.init n (fun i -> Vec4f.make px.{i} py.{i} pz.{i} 0.0));
+      let inputs =
+        [ positions;
+          Gm.create_texture m ~name:"rows" ~texels:n;
+          Gm.create_texture m ~name:"indices"
+            ~texels:((Pairlist.full_entry_count pl + 3) / 4) ]
+      in
+      let target = Gm.create_render_target m ~name:"out" ~texels:n in
+      let shader =
+        Gm.compile m ~name:"gather" ~body:Mdports.Kernels.gpu_candidate
+          ~prologue:Mdports.Kernels.gpu_fragment_prologue
+      in
+      let starts = row_starts rows in
+      let f32_engine = (Cell.apply_f32_engine s).Mdcore.Engine.compute in
+      let no_force = Mdcore.Engine.make ~name:"none" ~compute:(fun _ -> 0.0) in
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let replay atoms () =
+        ignore (Opteron.memory_excess_cycles_per_pair ~n:atoms ())
+      in
+      List.iter
+        (fun (name, w) ->
+          if w > 8.0 *. float_of_int n then
+            Alcotest.failf "%s allocated %.0f minor words (> 8 per atom)"
+              name w)
+        [ ("cell f32 rows",
+           words (fun () ->
+               for i = 0 to n - 1 do
+                 ignore (F32k.gather p acc staged partners i)
+               done));
+          ("cell f32 engine (N^2)", words (fun () -> ignore (f32_engine s)));
+          ("gpu fragments",
+           words (fun () ->
+               Gm.dispatch m shader ~inputs ~target
+                 ~f:(fun sampler i ->
+                   let src = F32k.Texture (sampler, starts) in
+                   ignore (F32k.gather p acc src partners i);
+                   Vec4f.zero)
+                 ()));
+          ("pairlist compute_full_stats",
+           words (fun () -> ignore (Pairlist.compute_full_stats pl s)));
+          ("pairlist Newton-3", words (fun () -> ignore (newton3 s)));
+          ("verlet step (kicks and drift)",
+           words (fun () -> ignore (Verlet.step s ~engine:no_force)));
+          ("opteron memory replay", words (replay n) -. words (replay 1)) ])
 
 let test_f32_matches_double_reference () =
   let s_ref = sys () in
@@ -493,5 +667,9 @@ let tests =
         test_gather_ports_pairlist_bitwise;
       Alcotest.test_case "pairlist faster on every port" `Slow
         test_pairlist_faster_on_every_port;
-      Alcotest.test_case "ports agree on hits" `Quick test_ports_agree_on_hits
+      Alcotest.test_case "ports agree on hits" `Quick test_ports_agree_on_hits;
+      Alcotest.test_case "f32 gather = pair_terms bitwise" `Quick
+        test_f32_gather_matches_pair_terms;
+      Alcotest.test_case "hot loops allocation-free" `Quick
+        test_hot_loops_allocation_free
     ] )
