@@ -8,8 +8,8 @@
    2. a bechamel microbenchmark suite: one Test.make per paper artifact
       measuring the wall-clock cost of the simulator machinery that
       regenerates it, plus ablation benches for the design choices called
-      out in DESIGN.md (pairlist / cell list vs the paper's on-the-fly
-      kernel, f32 vs double arithmetic, branchy vs branchless search).
+      out in DESIGN.md (pairlist vs the paper's on-the-fly kernel, f32
+      vs double arithmetic, branchy vs branchless search).
 
    Every run also writes a machine-readable artifact-name -> wall-clock-ns
    map (BENCH_results.json by default, schema mdsim-bench-v2 with run
@@ -117,8 +117,6 @@ let test_ablation_engines =
       Test.make ~name:"newton3-halved"
         (Staged.stage (fun () ->
              Mdcore.Forces.compute_newton3 (Lazy.force gather_sys)));
-      Test.make ~name:"cell-list"
-        (Staged.stage (fun () -> Mdcore.Cell_list.compute (Lazy.force big_sys)));
       Test.make ~name:"pairlist"
         (Staged.stage (fun () ->
              (Mdcore.Pairlist.engine (Lazy.force pl)).Mdcore.Engine.compute
@@ -165,27 +163,18 @@ let test_ablation_search =
              done;
              !acc)) ]
 
-(* Host-parallelism ablations (DESIGN.md: Mdpar).  Pool vs spawn-per-call
-   quantifies what reusing domains saves; the pairlist builds contrast the
-   cell-binned O(N) construction with the quadratic rescan at two sizes,
-   so the scaling exponent is visible from the ratio. *)
-(* Shared by the pool and obs ablations (and warmed before the timed
-   loop, so no group's first sample pays the one-time construction). *)
-let par_sys = lazy (Mdcore.Init.build ~n:512 ())
+(* Host-parallelism ablations (DESIGN.md: Mdpar).  The pairlist builds
+   contrast the cell-binned O(N) construction with the quadratic rescan
+   at two sizes, so the scaling exponent is visible from the ratio. *)
+(* Shared by the pool and obs ablations; built at startup, so no
+   group's first sample pays the one-time construction. *)
+let par_sys = Mdcore.Init.build ~n:512 ()
 
 let test_ablation_pool =
   Test.make_grouped ~name:"ablation-pool"
     [ Test.make ~name:"gather-serial"
         (Staged.stage (fun () ->
-             Mdcore.Forces.compute_gather (Lazy.force par_sys)));
-      Test.make ~name:"gather-pool-4dom"
-        (Staged.stage (fun () ->
-             Mdcore.Forces.compute_gather_domains ~domains:4
-               (Lazy.force par_sys)));
-      Test.make ~name:"gather-spawn-per-call-4dom"
-        (Staged.stage (fun () ->
-             Mdcore.Forces.compute_gather_spawn ~domains:4
-               (Lazy.force par_sys))) ]
+             Mdcore.Forces.compute_gather par_sys)) ]
 
 let test_ablation_pairlist_build =
   let make_build n brute =
@@ -248,23 +237,23 @@ let test_pairlist_vs_brute =
          port "mta" (fun force_path ->
              Mdports.Mta_port.run ~steps:2 ~force_path big) ])
 
-(* Tracing-overhead ablation (Mdobs): the same pooled gather with the
-   recorder off (the default — each probe site costs one atomic load)
-   and with a memory sink attached.  The acceptance bar is <2% overhead
-   for the disabled case vs the identical pre-instrumentation kernel,
-   which "gather-pool-4dom" above measures. *)
+(* Tracing-overhead ablation (Mdobs): the production pairlist force
+   pass on the default pool — 512 atoms run as pooled chunks, so every
+   region passes Mdpar's probe sites — with the recorder off (the
+   default: each probe site costs one atomic load) and with a memory
+   sink attached.  The list is built here, outside the timed closures;
+   the positions never move, so no sample rebuilds it. *)
 let test_ablation_obs =
+  let pl = Mdcore.Pairlist.create par_sys in
+  Mdcore.Pairlist.force_rebuild pl;
+  let engine = Mdcore.Pairlist.engine pl in
+  let compute () = engine.Mdcore.Engine.compute par_sys in
   Test.make_grouped ~name:"ablation-obs"
-    [ Test.make ~name:"gather-obs-disabled"
-        (Staged.stage (fun () ->
-             Mdcore.Forces.compute_gather_domains ~domains:4
-               (Lazy.force par_sys)));
+    [ Test.make ~name:"gather-obs-disabled" (Staged.stage compute);
       Test.make ~name:"gather-obs-enabled"
         (Staged.stage (fun () ->
              Mdobs.enable (Mdobs.Sink.memory ());
-             Fun.protect ~finally:Mdobs.clear (fun () ->
-                 Mdcore.Forces.compute_gather_domains ~domains:4
-                   (Lazy.force par_sys)))) ]
+             Fun.protect ~finally:Mdobs.clear compute)) ]
 
 (* Fault-injection overhead ablation (Mdfault): the same Cell timing
    replay with no plan installed (the default — each site costs one
@@ -472,10 +461,6 @@ let run_microbenchmarks () =
     Benchmark.cfg ~limit:bench_limit ~quota:(Time.second bench_quota_s)
       ~kde:None ()
   in
-  (* Warm the shared fixture: system construction and the pool's domain
-     spawns are one-time costs that would otherwise land in whichever
-     benchmark happens to run first and blow its 0.5 s quota. *)
-  ignore (Mdcore.Forces.compute_gather_domains ~domains:4 (Lazy.force par_sys));
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] all_tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
@@ -512,20 +497,6 @@ let run_microbenchmarks () =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results                                            *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Run metadata for the v2 schema: enough to tell, reading a committed
    BENCH_results.json, exactly what produced it. *)
@@ -569,7 +540,7 @@ let write_results_json entries =
       Printf.fprintf oc "  \"schema\": \"mdsim-bench-v2\",\n";
       Printf.fprintf oc "  \"metadata\": {\n";
       Printf.fprintf oc "    \"git_commit\": \"%s\",\n"
-        (json_escape (git_commit ()));
+        (Mdobs.json_escape (git_commit ()));
       Printf.fprintf oc "    \"timestamp\": \"%s\",\n" (iso8601_utc ());
       Printf.fprintf oc "    \"domains\": %d,\n" (Mdpar.size (Mdpar.get ()));
       Printf.fprintf oc "    \"quick\": %b,\n" quick;
@@ -581,7 +552,8 @@ let write_results_json entries =
       let n = List.length entries in
       List.iteri
         (fun i (name, ns) ->
-          Printf.fprintf oc "    \"%s\": %.1f%s\n" (json_escape name) ns
+          Printf.fprintf oc "    \"%s\": %.1f%s\n"
+            (Mdobs.json_escape name) ns
             (if i = n - 1 then "" else ","))
         entries;
       output_string oc "  }\n";

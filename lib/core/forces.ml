@@ -37,86 +37,6 @@ let compute_gather_stats (s : System.t) =
 
 let compute_gather s = fst (compute_gather_stats s)
 
-(* One row of the gather sum; writes only acc_*.(i). *)
-let gather_row (s : System.t) rc2 inv_mass i =
-  let { System.n; box; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } = s in
-  let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-  let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-  let pe2 = ref 0.0 in
-  for j = 0 to n - 1 do
-    if j <> i then begin
-      let dx = Min_image.delta ~box (xi -. pos_x.{j})
-      and dy = Min_image.delta ~box (yi -. pos_y.{j})
-      and dz = Min_image.delta ~box (zi -. pos_z.{j}) in
-      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-      if r2 < rc2 then begin
-        let f_over_r = Params.lj_force_over_r s.System.params r2 in
-        fx := !fx +. (f_over_r *. dx);
-        fy := !fy +. (f_over_r *. dy);
-        fz := !fz +. (f_over_r *. dz);
-        pe2 := !pe2 +. Params.lj_potential s.System.params r2
-      end
-    end
-  done;
-  acc_x.{i} <- !fx *. inv_mass;
-  acc_y.{i} <- !fy *. inv_mass;
-  acc_z.{i} <- !fz *. inv_mass;
-  !pe2
-
-let compute_gather_pool ?pool (s : System.t) =
-  let pool = match pool with Some p -> p | None -> Mdpar.get () in
-  let n = s.System.n in
-  let rc2 = Params.cutoff2 s.System.params in
-  let inv_mass = 1.0 /. s.System.params.Params.mass in
-  (* Rows are disjoint: each participant writes only the acceleration
-     slots of the rows it claims, so the forces are bit-identical to the
-     serial loop for any pool size.  The PE partials land in slots keyed
-     by chunk index and combine in chunk order, so the sum is a pure
-     function of the pool size (and equals the serial sum at size 1). *)
-  let pe2 =
-    Mdpar.parallel_for_reduce pool ~lo:0 ~hi:(n - 1) ~init:0.0
-      ~combine:( +. )
-      ~body:(fun i -> gather_row s rc2 inv_mass i)
-  in
-  0.5 *. pe2
-
-let compute_gather_domains ?domains (s : System.t) =
-  match domains with
-  | None -> compute_gather_pool s
-  | Some d ->
-    if d <= 0 then invalid_arg "Forces.compute_gather_domains: domains";
-    compute_gather_pool ~pool:(Mdpar.get ~domains:(min d s.System.n) ()) s
-
-(* The pre-pool implementation, kept verbatim as the bench ablation
-   baseline: one [Domain.spawn] + [Domain.join] per force call. *)
-let compute_gather_spawn ?domains (s : System.t) =
-  let n = s.System.n in
-  let domains =
-    match domains with
-    | Some d ->
-      if d <= 0 then invalid_arg "Forces.compute_gather_spawn: domains";
-      d
-    | None -> Domain.recommended_domain_count ()
-  in
-  let domains = min domains n in
-  let rc2 = Params.cutoff2 s.System.params in
-  let inv_mass = 1.0 /. s.System.params.Params.mass in
-  let chunk k = (k * n / domains, ((k + 1) * n / domains) - 1) in
-  let run_chunk k =
-    let lo, hi = chunk k in
-    let pe2 = ref 0.0 in
-    for i = lo to hi do
-      pe2 := !pe2 +. gather_row s rc2 inv_mass i
-    done;
-    !pe2
-  in
-  let workers =
-    List.init (domains - 1) (fun k -> Domain.spawn (fun () -> run_chunk (k + 1)))
-  in
-  let first = run_chunk 0 in
-  let partials = List.map Domain.join workers in
-  0.5 *. List.fold_left ( +. ) first partials
-
 let compute_newton3 (s : System.t) =
   let { System.n; box; params; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } =
     s
@@ -148,61 +68,6 @@ let compute_newton3 (s : System.t) =
     done
   done;
   !pe
-
-let compute_gather_searched (s : System.t) =
-  let { System.n; box; params; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Params.mass in
-  let pe2 = ref 0.0 in
-  for i = 0 to n - 1 do
-    let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-    let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-    for j = 0 to n - 1 do
-      if j <> i then begin
-        let dx = Min_image.delta_search ~box (xi -. pos_x.{j})
-        and dy = Min_image.delta_search ~box (yi -. pos_y.{j})
-        and dz = Min_image.delta_search ~box (zi -. pos_z.{j}) in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-        if r2 < rc2 then begin
-          let f_over_r = Params.lj_force_over_r params r2 in
-          fx := !fx +. (f_over_r *. dx);
-          fy := !fy +. (f_over_r *. dy);
-          fz := !fz +. (f_over_r *. dz);
-          pe2 := !pe2 +. Params.lj_potential params r2
-        end
-      end
-    done;
-    acc_x.{i} <- !fx *. inv_mass;
-    acc_y.{i} <- !fy *. inv_mass;
-    acc_z.{i} <- !fz *. inv_mass
-  done;
-  0.5 *. !pe2
-
-let acceleration_on (s : System.t) i =
-  let { System.n; box; params; pos_x; pos_y; pos_z; _ } = s in
-  let rc2 = Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Params.mass in
-  let acc = ref Vecmath.Vec3.zero and pe2 = ref 0.0 in
-  let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-  for j = 0 to n - 1 do
-    if j <> i then begin
-      let dx = Min_image.delta ~box (xi -. pos_x.{j})
-      and dy = Min_image.delta ~box (yi -. pos_y.{j})
-      and dz = Min_image.delta ~box (zi -. pos_z.{j}) in
-      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-      if r2 < rc2 then begin
-        let f_over_r = Params.lj_force_over_r params r2 in
-        acc :=
-          Vecmath.Vec3.add !acc
-            (Vecmath.Vec3.scale (f_over_r *. inv_mass)
-               (Vecmath.Vec3.make dx dy dz));
-        pe2 := !pe2 +. Params.lj_potential params r2
-      end
-    end
-  done;
-  (!acc, 0.5 *. !pe2)
 
 let gather_engine =
   Engine.make ~name:"reference-gather" ~compute:compute_gather

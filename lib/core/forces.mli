@@ -12,7 +12,9 @@
 
     Both evaluate distances on the fly with no neighbour list: "We do not
     employ any optimization technique that has been proposed for
-    cache-based systems.  Instead, we calculate the distances on the fly". *)
+    cache-based systems.  Instead, we calculate the distances on the fly".
+    They are the references every other force path — {!Pairlist} and
+    the device ports — is tested against. *)
 
 val gather_engine : Engine.t
 val newton3_engine : Engine.t
@@ -25,36 +27,3 @@ val compute_gather_stats : System.t -> float * int
     in-cutoff interactions found (each unordered pair counted twice, as
     the gather loop encounters it) — the quantity the architecture ports
     charge their hit-path cycles by. *)
-
-val compute_gather_domains : ?domains:int -> System.t -> float
-(** {!compute_gather} with the rows split across OCaml 5 domains (shared-
-    memory parallelism on the host running this simulator), scheduled on
-    the persistent {!Mdpar} pool — no [Domain.spawn] per call.  The
-    gather formulation makes rows independent — each domain writes only
-    its own acceleration slice, so the accelerations are bit-identical
-    to the serial version for any domain count, and PE partials land in
-    chunk-indexed slots combined in chunk order, so the PE is
-    deterministic (equal to serial up to floating-point summation order
-    when [domains > 1]; exactly serial at [domains = 1]; both tested).
-    [domains] defaults to the {!Mdpar.default_domains} resolution
-    (CLI [--domains] / [MDSIM_DOMAINS] / recommended count). *)
-
-val compute_gather_pool : ?pool:Mdpar.t -> System.t -> float
-(** As {!compute_gather_domains}, scheduled on an explicit pool
-    ([Mdpar.get ()] when omitted). *)
-
-val compute_gather_spawn : ?domains:int -> System.t -> float
-(** The pre-pool implementation — a fresh [Domain.spawn] per worker per
-    call — kept as the bench ablation baseline quantifying what the
-    persistent pool saves. *)
-
-val compute_gather_searched : System.t -> float
-(** {!compute_gather} with the minimum image found by the paper's literal
-    neighbouring-image *search* ({!Min_image.delta_search}) instead of
-    the closed form — the formulation every port actually executes.
-    Results are identical (tested); kept separate so the equivalence is
-    exercised in the physics path, not only at the Min_image unit level. *)
-
-val acceleration_on : System.t -> int -> Vecmath.Vec3.t * float
-(** [acceleration_on s i] recomputes atom [i]'s acceleration and its PE
-    contribution independently (for spot-check tests). *)

@@ -82,14 +82,20 @@ let jitter_positions system ~magnitude rng =
    bounded per-step displacement.  When the atom count is not a perfect
    4*m^3, the thinned FCC lattice leaves a few sub-sigma pairs whose r^-12
    repulsion would wreck the integrator's first steps; a handful of
-   descent iterations relaxes them without disturbing the bulk.  The
-   cell-list engine keeps this O(n) whenever the box is large enough. *)
+   descent iterations relaxes them without disturbing the bulk.  Forces
+   come from a gather over a neighbour list's full rows whenever the box
+   admits one — bitwise [Forces.compute_gather], but O(n) — and from
+   the brute gather otherwise, so the choice changes speed, not bits.
+   The list records nothing: it is not a simulated device's. *)
 let relax system ~iterations ~max_step =
   if iterations < 0 then invalid_arg "Init.relax: negative iterations";
   if max_step <= 0.0 then invalid_arg "Init.relax: max_step must be positive";
   let n = system.System.n in
   let compute =
-    if Cell_list.cells_per_axis system >= 3 then Cell_list.compute
+    if Pairlist.admissible system then begin
+      let list = Pairlist.create_uninstrumented system in
+      fun s -> fst (Pairlist.compute_full_stats list s)
+    end
     else Forces.compute_gather
   in
   (* Step size chosen so typical forces move atoms well below max_step;

@@ -2,10 +2,11 @@
     velocities.
 
     The paper's experiments sweep power-of-two atom counts (256 … 8192) at
-    a fixed liquid-like density; we place atoms on a simple cubic lattice
-    (evenly thinned when the count is not a perfect cube) and draw
-    velocities from the Maxwell distribution at the requested temperature,
-    removing net momentum so the box does not drift. *)
+    a fixed liquid-like density; we place atoms on a face-centred-cubic
+    lattice (evenly thinned when the count is not [4 m³]), jitter and
+    relax them, and draw velocities from the Maxwell distribution at the
+    requested temperature, removing net momentum so the box does not
+    drift. *)
 
 val lattice_box : n:int -> density:float -> float
 (** Box side length giving [n] atoms the target number density. *)
@@ -37,8 +38,11 @@ val remove_net_momentum : System.t -> unit
 
 val relax : System.t -> iterations:int -> max_step:float -> unit
 (** Capped steepest-descent relaxation (used by [build] to defuse the
-    sub-σ pairs a thinned lattice can contain).  Clears the acceleration
-    arrays afterwards. *)
+    sub-σ pairs a thinned lattice can contain).  Forces come from
+    {!Pairlist.compute_full_stats} on a {!Pairlist.create_uninstrumented}
+    list when {!Pairlist.admissible} holds, from {!Forces.compute_gather}
+    otherwise; the two are bitwise equal, so the result does not depend
+    on which one ran.  Clears the acceleration arrays afterwards. *)
 
 val jitter_positions : System.t -> magnitude:float -> Sim_util.Rng.t -> unit
 (** Displace every coordinate uniformly within ±magnitude (breaks lattice

@@ -97,6 +97,19 @@ let admissible ?(skin = default_skin) (s : System.t) =
   valid_skin skin
   && s.System.box >= 2.0 *. (s.System.params.Params.cutoff +. skin)
 
+(* Epsilon-tolerant floor of box/width.  When [box] is an exact multiple
+   of [width], the floating division can land one ulp below the integer
+   (e.g. 2.9999999999999996 for a true ratio of 3), silently dropping a
+   cell per axis — or rejecting a legal box outright.  Accept [m + 1]
+   whenever [(m + 1) * width] exceeds [box] by at most a few ulps of
+   [box]. *)
+let axis_cells ~box ~width =
+  if not (width > 0.0) then invalid_arg "Pairlist.axis_cells: width";
+  let m = int_of_float (box /. width) in
+  if float_of_int (m + 1) *. width <= box +. (box *. 4.0 *. epsilon_float)
+  then m + 1
+  else m
+
 (* Two distinct box thresholds govern a list's life:
 
    - [box < 2*(cutoff+skin)] — *validation*.  The minimum-image
@@ -112,8 +125,11 @@ let admissible ?(skin = default_skin) (s : System.t) =
      either way.
 
    So 2*(cutoff+skin) <= box < 3*(cutoff+skin) means "admissible, but
-   brute-built"; only below the first bound is the list refused. *)
-let create ?(skin = default_skin) ?pool (s : System.t) =
+   brute-built"; only below the first bound is the list refused.
+
+   [instrumented = false] leaves every Mdobs/Mdprof slot empty, for
+   lists that are not a simulated device's. *)
+let make ~instrumented ~skin ?pool (s : System.t) =
   if not (valid_skin skin) then
     invalid_arg "Pairlist.create: skin must be positive and finite";
   let reach = s.System.params.Params.cutoff +. skin in
@@ -122,9 +138,7 @@ let create ?(skin = default_skin) ?pool (s : System.t) =
       "Pairlist.create: cutoff + skin exceeds the min-image bound \
        (box < 2*(cutoff+skin))";
   let cells =
-    (* Epsilon-tolerant so an exact multiple of [reach] is never short a
-       cell (shared with [Cell_list.cells_per_axis]). *)
-    let m = Cell_list.axis_cells ~box:s.System.box ~width:reach in
+    let m = axis_cells ~box:s.System.box ~width:reach in
     if m >= 3 then m else 0
   in
   { system = s;
@@ -149,23 +163,28 @@ let create ?(skin = default_skin) ?pool (s : System.t) =
     next = Array.make s.System.n (-1);
     atom_cell = Array.make s.System.n 0;
     obs =
-      (if Mdobs.enabled () then
+      (if instrumented && Mdobs.enabled () then
          Some (Mdobs.new_track ~clock:Mdobs.Host "pairlist")
        else None);
     prof_rebuilds =
-      (if Mdprof.enabled () then
+      (if instrumented && Mdprof.enabled () then
          Some (Mdprof.counter ~clock:Mdprof.Host "pairlist/rebuilds")
        else None);
     prof_builds =
-      (if Mdprof.enabled () then
+      (if instrumented && Mdprof.enabled () then
          Some (Mdprof.counter ~clock:Mdprof.Virtual "pairlist/builds")
        else None);
     prof_neighbours =
-      (if Mdprof.enabled () then
+      (if instrumented && Mdprof.enabled () then
          Some
            (Mdprof.gauge ~unit_:"entries" ~clock:Mdprof.Virtual
               "pairlist/neighbours")
        else None) }
+
+let create ?(skin = default_skin) ?pool s =
+  make ~instrumented:true ~skin ?pool s
+
+let create_uninstrumented s = make ~instrumented:false ~skin:default_skin s
 
 let pool_of t =
   match t.pool with Some p -> p | None -> Mdpar.get ()

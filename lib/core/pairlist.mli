@@ -49,6 +49,22 @@ val create : ?skin:float -> ?pool:Mdpar.t -> System.t -> t
     bit-identical to the O(N²) scan for any pool size.  Boxes narrower
     than 3 cells per axis fall back to the O(N²) scan. *)
 
+val create_uninstrumented : System.t -> t
+(** {!create} with the default skin and pool, registering no Mdprof
+    instrument and no Mdobs track.  For lists that belong to no
+    simulated device: {!Init.relax} builds one inside [Init.build],
+    which [mdsim run] calls after enabling profiling, and an
+    instrumented list there would add its builds to the run's virtual
+    counters. *)
+
+val axis_cells : box:float -> width:float -> int
+(** Epsilon-tolerant [floor (box / width)]: accepts [m] when
+    [float m *. width] exceeds [box] by at most a few ulps, so a box
+    that is an exact multiple of [width] is never short a cell because
+    the floating division landed one ulp below the integer.  Sizes the
+    cell grid of the build strategy above; raises [Invalid_argument]
+    unless [width > 0]. *)
+
 val skin : t -> float
 
 val engine : t -> Engine.t

@@ -8,10 +8,7 @@
      nobody, and the caller drains the whole range itself.
    - A region's completion state (pending count + condvar) is allocated
      per call, not per pool, so concurrent regions on one pool do not
-     share counters.
-   - Reductions write chunk partials into an array indexed by chunk id,
-     claimed from an atomic counter; which domain computes a chunk can
-     vary, where its partial lands cannot. *)
+     share counters. *)
 
 type worker = {
   mutex : Mutex.t;
@@ -206,7 +203,7 @@ let prof_count t ~chunks =
    idempotent-by-partition: participants pull work items from a shared
    atomic source, so running it on fewer domains only means fewer
    helpers. *)
-let run_region ?(label = "region") t (work : unit -> unit) =
+let run_region t (work : unit -> unit) =
   if t.size = 1 || not t.alive || Array.length t.workers = 0 then work ()
   else begin
     let obs = obs_track t in
@@ -264,7 +261,7 @@ let run_region ?(label = "region") t (work : unit -> unit) =
     (match obs with
     | Some tr ->
       (* workers = recruited helpers + the caller *)
-      Mdobs.span tr ~name:label ~ts:t0
+      Mdobs.span tr ~name:"parallel_for" ~ts:t0
         ~dur:(Mdobs.host_now () -. t0)
         ~args:[ ("workers", Mdobs.Int (!recruited + 1)) ]
         ()
@@ -319,61 +316,7 @@ let parallel_for ?chunk t ~lo ~hi body =
           ()
       | None -> ()
     in
-    run_region ~label:"parallel_for" t work
-  end
-
-let parallel_for_reduce ?chunks t ~lo ~hi ~init ~combine ~body =
-  let len = hi - lo + 1 in
-  if len <= 0 then init
-  else begin
-    let nchunks =
-      match chunks with
-      | Some c ->
-        if c <= 0 then
-          invalid_arg "Mdpar.parallel_for_reduce: chunks must be positive";
-        min c len
-      | None -> max 1 (min t.size len)
-    in
-    if nchunks = 1 then begin
-      prof_count t ~chunks:1;
-      let acc = ref init in
-      for i = lo to hi do
-        acc := combine !acc (body i)
-      done;
-      !acc
-    end
-    else begin
-      prof_count t ~chunks:nchunks;
-      let partials = Array.make nchunks init in
-      let next = Atomic.make 0 in
-      let obs = obs_track t in
-      let work () =
-        let drained = ref 0 in
-        let rec drain () =
-          let c = Atomic.fetch_and_add next 1 in
-          if c < nchunks then begin
-            let clo = lo + (c * len / nchunks)
-            and chi = lo + ((c + 1) * len / nchunks) - 1 in
-            let acc = ref init in
-            for i = clo to chi do
-              acc := combine !acc (body i)
-            done;
-            partials.(c) <- !acc;
-            incr drained;
-            drain ()
-          end
-        in
-        drain ();
-        match obs with
-        | Some tr ->
-          Mdobs.instant tr ~name:"drain" ~ts:(Mdobs.host_now ())
-            ~args:[ ("chunks", Mdobs.Int !drained) ]
-            ()
-        | None -> ()
-      in
-      run_region ~label:"reduce" t work;
-      Array.fold_left combine init partials
-    end
+    run_region t work
   end
 
 let map_list t f xs =

@@ -6,12 +6,10 @@
     neighbour-list builds, and the experiment harness — across OCaml 5
     domains.  Design constraints, in order:
 
-    - {b Determinism.}  Every primitive produces the same result for a
-      given pool size on every run: work items are indexed, partial
-      results land in slots keyed by work-item (never by worker), and
-      reductions combine partials in slot order.  Disjoint-write kernels
-      (one atom row per index) are bit-identical to serial for {e any}
-      pool size.
+    - {b Determinism.}  Every primitive produces the same result for
+      any pool size: work items are indexed and results land in slots
+      keyed by work item (never by worker), so disjoint-write kernels
+      (one atom row per index) are bit-identical to serial.
     - {b No spawn-per-call.}  Workers are spawned once and parked on a
       condition variable; dispatching a parallel region costs two mutex
       handshakes per worker instead of a [Domain.spawn] (~100µs) per
@@ -59,23 +57,6 @@ val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
     1) from a shared counter.  The body must only write state disjoint
     per index.  Exceptions from any participant are re-raised in the
     caller after the region quiesces. *)
-
-val parallel_for_reduce :
-  ?chunks:int ->
-  t ->
-  lo:int ->
-  hi:int ->
-  init:'a ->
-  combine:('a -> 'a -> 'a) ->
-  body:(int -> 'a) ->
-  'a
-(** Folds [body i] over the range.  The range is cut into [chunks]
-    contiguous slices (default [min (size pool) length]; boundaries
-    depend only on the chunk count, never on scheduling), each slice is
-    folded left-to-right from [init], and slice partials are combined in
-    slice order — so the result is a pure function of (range, chunk
-    count).  With one chunk the fold is exactly the serial one.  [init]
-    must be a neutral element of [combine]. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map] (one work item per element). *)

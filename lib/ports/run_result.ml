@@ -36,22 +36,6 @@ let pp_summary fmt t =
    artifacts for the same result.  Byte equality of these renderings is
    the serve convergence acceptance bar, so change them carefully. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_summary t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Format.asprintf "%a" pp_summary t);
@@ -80,13 +64,13 @@ let metrics_json t =
   Buffer.add_string buf
     (Printf.sprintf
        "{\n\"device\":\"%s\",\"atoms\":%d,\"steps\":%d,\"virtual_seconds\":%.17g,\n"
-       (json_escape t.device) t.n_atoms t.steps t.seconds);
+       (Mdobs.json_escape t.device) t.n_atoms t.steps t.seconds);
   Buffer.add_string buf "\"breakdown\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%.17g" (json_escape k) v))
+        (Printf.sprintf "\"%s\":%.17g" (Mdobs.json_escape k) v))
     t.breakdown;
   Buffer.add_string buf
     (Printf.sprintf

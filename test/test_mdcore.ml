@@ -9,7 +9,6 @@ module Forces = Mdcore.Forces
 module Verlet = Mdcore.Verlet
 module Observables = Mdcore.Observables
 module Pairlist = Mdcore.Pairlist
-module Cell_list = Mdcore.Cell_list
 module Vec3 = Vecmath.Vec3
 
 let p = Params.default
@@ -175,27 +174,26 @@ let test_axis_cells_exact_multiples () =
     let w = 0.1 +. (float_of_int k *. 1e-3) in
     let box = 3.0 *. w in
     if int_of_float (box /. w) < 3 then incr naive_failures;
-    let m = Cell_list.axis_cells ~box ~width:w in
+    let m = Pairlist.axis_cells ~box ~width:w in
     if m <> 3 then
       Alcotest.failf "axis_cells ~box:(3 * %h) ~width:%h = %d (want 3)" w w m;
     (* A clearly-non-multiple box must not get rounded up. *)
     Alcotest.(check int)
       (Printf.sprintf "3.5 cells stays 3 at width %g" w)
       3
-      (Cell_list.axis_cells ~box:(3.5 *. w) ~width:w)
+      (Pairlist.axis_cells ~box:(3.5 *. w) ~width:w)
   done;
   Alcotest.(check bool) "naive floor fails somewhere in the sweep" true
     (!naive_failures > 0);
   Alcotest.(check bool) "width validation" true
     (try
-       ignore (Cell_list.axis_cells ~box:1.0 ~width:0.0);
+       ignore (Pairlist.axis_cells ~box:1.0 ~width:0.0);
        false
      with Invalid_argument _ -> true)
 
 (* Atoms parked on the bin-index edges — exactly 0 and one ulp below box
-   on each axis — must bin in range for both the cell-list engine and
-   the pairlist's cell-binned build (runs with assertions enabled, so an
-   out-of-range index would abort). *)
+   on each axis — must bin in range for the pairlist's cell-binned build
+   (runs with assertions enabled, so an out-of-range index would abort). *)
 let test_binning_boundary_atoms () =
   let s = Init.build ~seed:11 ~n:1000 () in
   let edge = Float.pred s.System.box in
@@ -204,16 +202,16 @@ let test_binning_boundary_atoms () =
   s.System.pos_x.{1} <- edge; s.System.pos_y.{1} <- edge;
   s.System.pos_z.{1} <- edge;
   s.System.pos_x.{2} <- System.wrap_coord s.System.box (-1e-17);
-  let pe_cells = Cell_list.compute s in
-  Alcotest.(check bool) "cell-list PE finite" true (Float.is_finite pe_cells);
+  let pe_ref = Forces.compute_gather (System.copy s) in
   let pl = Pairlist.create s in
   Alcotest.(check bool) "pairlist uses cells" true (Pairlist.uses_cells pl);
   let pe_list = (Pairlist.engine pl).Mdcore.Engine.compute s in
   Alcotest.(check bool) "pairlist PE finite" true (Float.is_finite pe_list);
-  (* Same positions, same physics: the two engines agree to roundoff
-     (relative — the parked atoms can sit deep in the r^-12 wall). *)
+  (* Same positions, same physics: the list agrees with the reference
+     gather to roundoff (relative — the parked atoms can sit deep in the
+     r^-12 wall). *)
   Alcotest.(check bool) "engines agree" true
-    (abs_float (pe_cells -. pe_list) <= 1e-9 *. (1.0 +. abs_float pe_cells))
+    (abs_float (pe_ref -. pe_list) <= 1e-9 *. (1.0 +. abs_float pe_ref))
 
 (* ---------------- System / Init ---------------- *)
 
@@ -291,48 +289,6 @@ let test_gather_counts_hits_symmetrically () =
   let _, hits = Forces.compute_gather_stats s in
   Alcotest.(check int) "hits double-counted (even)" 0 (hits mod 2)
 
-let test_gather_searched_identical () =
-  let s1 = small_system () in
-  let s2 = System.copy s1 in
-  let pe_closed = Forces.compute_gather s1 in
-  let pe_search = Forces.compute_gather_searched s2 in
-  Alcotest.(check (float 1e-12)) "identical PE" pe_closed pe_search;
-  Alcotest.(check (float 1e-12)) "identical forces" 0.0
-    (System.max_acceleration_delta s1 s2)
-
-let test_gather_domains_identical () =
-  let s1 = small_system ~n:216 () in
-  let s2 = System.copy s1 in
-  let s3 = System.copy s1 in
-  let pe_serial = Forces.compute_gather s1 in
-  let pe_par = Forces.compute_gather_domains ~domains:4 s2 in
-  let pe_par1 = Forces.compute_gather_domains ~domains:1 s3 in
-  let close a b = abs_float (a -. b) <= 1e-9 *. abs_float a in
-  Alcotest.(check bool) "PE equal up to summation order (4 domains)" true
-    (close pe_serial pe_par);
-  Alcotest.(check bool) "PE equal up to summation order (1 domain)" true
-    (close pe_serial pe_par1);
-  Alcotest.(check bool) "deterministic across repeats" true
-    (Forces.compute_gather_domains ~domains:4 (System.copy s1) = pe_par);
-  Alcotest.(check (float 0.0)) "forces bit-identical" 0.0
-    (System.max_acceleration_delta s1 s2)
-
-let test_gather_domains_validation () =
-  let s = small_system () in
-  Alcotest.(check bool) "0 domains rejected" true
-    (try
-       ignore (Forces.compute_gather_domains ~domains:0 s);
-       false
-     with Invalid_argument _ -> true);
-  (* More domains than atoms must still work (clamped). *)
-  let tiny = System.create ~n:2 ~box:10.0 ~params:p in
-  System.set_position tiny 0 (Vec3.make 1.0 5.0 5.0);
-  System.set_position tiny 1 (Vec3.make 2.0 5.0 5.0);
-  let pe = Forces.compute_gather_domains ~domains:16 tiny in
-  let tiny2 = System.copy tiny in
-  Alcotest.(check (float 1e-12)) "clamped domains correct"
-    (Forces.compute_gather tiny2) pe
-
 let test_forces_net_zero () =
   let s = small_system () in
   ignore (Forces.compute_gather s);
@@ -349,13 +305,6 @@ let test_forces_net_zero () =
     (abs_float (sum s.System.acc_x) < 1e-8
     && abs_float (sum s.System.acc_y) < 1e-8
     && abs_float (sum s.System.acc_z) < 1e-8)
-
-let test_acceleration_on_matches_engine () =
-  let s = small_system () in
-  ignore (Forces.compute_gather s);
-  let acc, _pe = Forces.acceleration_on s 5 in
-  Alcotest.(check bool) "spot check" true
-    (Vec3.equal ~eps:1e-10 acc (System.acceleration s 5))
 
 let test_two_atom_force () =
   (* Two atoms at distance rmin along x: zero force; closer: repulsion. *)
@@ -663,23 +612,82 @@ let test_full_stats_matches_gather_bitwise () =
           ("z", reference.System.acc_z, s.System.acc_z) ])
     (bitwise_systems ())
 
-let test_cell_list_matches_reference () =
-  let s1 = Init.build ~seed:19 ~n:512 () in
-  let s2 = System.copy s1 in
-  let pe_ref = Forces.compute_gather s1 in
-  let pe_cl = Cell_list.compute s2 in
-  Alcotest.(check bool) "PE agrees" true
-    (abs_float (pe_ref -. pe_cl) < 1e-9 *. abs_float pe_ref);
-  Alcotest.(check bool) "forces agree" true
-    (System.max_acceleration_delta s1 s2 < 1e-8)
+(* [Init.relax]'s descent with forces from the reference gather, step
+   for step: the oracle the list-driven relaxation must match bitwise. *)
+let gather_relax (s : System.t) ~iterations ~max_step =
+  let { System.n; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } = s in
+  let gamma = 1e-3 in
+  let cap v = Float.min max_step (Float.max (-.max_step) v) in
+  for _ = 1 to iterations do
+    ignore (Forces.compute_gather s);
+    for i = 0 to n - 1 do
+      pos_x.{i} <- pos_x.{i} +. cap (gamma *. acc_x.{i});
+      pos_y.{i} <- pos_y.{i} +. cap (gamma *. acc_y.{i});
+      pos_z.{i} <- pos_z.{i} +. cap (gamma *. acc_z.{i});
+      System.wrap_atom s i
+    done
+  done
 
-let test_cell_list_requires_3_cells () =
-  let sys = System.create ~n:2 ~box:5.5 ~params:p in
-  Alcotest.(check bool) "tiny box rejected" true
-    (try
-       ignore (Cell_list.compute sys);
-       false
-     with Invalid_argument _ -> true)
+(* One size per force path [Init.relax] can take: 128 atoms admit no
+   list (brute gather), 200 and 500 a brute-built list, 864 a
+   cell-binned one.  The 0.3σ jitter drives atoms past the skin's
+   drift trigger, so each list is rebuilt twice mid-descent. *)
+let test_relax_matches_gather_bitwise () =
+  List.iter
+    (fun (n, admissible, cells) ->
+      let base = Init.build ~seed:n ~n () in
+      Init.jitter_positions base ~magnitude:0.3 (Sim_util.Rng.create n);
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: list admissible" n)
+        admissible (Pairlist.admissible base);
+      if admissible then
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d: cell-binned build" n)
+          cells
+          (Pairlist.uses_cells (Pairlist.create_uninstrumented base));
+      let relaxed = System.copy base and reference = System.copy base in
+      Init.relax relaxed ~iterations:25 ~max_step:0.05;
+      gather_relax reference ~iterations:25 ~max_step:0.05;
+      List.iter
+        (fun (axis, (a : System.buf), (b : System.buf)) ->
+          for i = 0 to n - 1 do
+            if not (same_bits a.{i} b.{i}) then
+              Alcotest.failf "n=%d: pos_%s.{%d} %h <> %h" n axis i b.{i}
+                a.{i}
+          done)
+        [ ("x", reference.System.pos_x, relaxed.System.pos_x);
+          ("y", reference.System.pos_y, relaxed.System.pos_y);
+          ("z", reference.System.pos_z, relaxed.System.pos_z) ])
+    [ (128, false, false); (200, true, false); (500, true, false);
+      (864, true, true) ]
+
+(* The relaxation's list is not a simulated device's: building a system
+   with profiling and tracing on must leave no pairlist instrument or
+   track behind.  A device list built afterwards does register them,
+   which shows the probe below can see one. *)
+let test_relax_records_nothing () =
+  let pairlist_names () =
+    let instruments =
+      List.map (fun (x : Mdprof.sample) -> x.Mdprof.s_name) (Mdprof.samples ())
+    and tracks =
+      List.map (fun (e : Mdobs.event) -> e.Mdobs.track_name) (Mdobs.events ())
+    in
+    List.filter
+      (String.starts_with ~prefix:"pairlist")
+      (instruments @ tracks)
+  in
+  Mdprof.clear ();
+  Mdprof.enable ();
+  Mdobs.enable (Mdobs.Sink.memory ());
+  Fun.protect
+    ~finally:(fun () -> Mdprof.clear (); Mdobs.clear ())
+    (fun () ->
+      let s = Init.build ~n:864 () in
+      Alcotest.(check (list string)) "nothing recorded by Init.build" []
+        (pairlist_names ());
+      ignore (Pairlist.compute_full_stats (Pairlist.create s) s);
+      Alcotest.(check bool) "a device list is recorded" true
+        (pairlist_names () <> []))
 
 let test_rdf_validation () =
   let s = small_system () in
@@ -936,14 +944,6 @@ let tests =
       Alcotest.test_case "hits double-counted" `Quick
         test_gather_counts_hits_symmetrically;
       Alcotest.test_case "net force zero" `Quick test_forces_net_zero;
-      Alcotest.test_case "searched image = closed form" `Quick
-        test_gather_searched_identical;
-      Alcotest.test_case "domains gather identical" `Quick
-        test_gather_domains_identical;
-      Alcotest.test_case "domains gather validation" `Quick
-        test_gather_domains_validation;
-      Alcotest.test_case "acceleration_on spot check" `Quick
-        test_acceleration_on_matches_engine;
       Alcotest.test_case "two-atom force" `Quick test_two_atom_force;
       Alcotest.test_case "cutoff respected" `Quick test_cutoff_respected;
       Alcotest.test_case "periodic interaction" `Quick
@@ -976,10 +976,6 @@ let tests =
         test_pairlist_halflist_matches_full_bitwise;
       Alcotest.test_case "pairlist chunked domain invariant" `Quick
         test_pairlist_chunked_domain_invariant;
-      Alcotest.test_case "cell list matches reference" `Quick
-        test_cell_list_matches_reference;
-      Alcotest.test_case "cell list needs 3 cells" `Quick
-        test_cell_list_requires_3_cells;
       Alcotest.test_case "rdf validation" `Quick test_rdf_validation;
       Alcotest.test_case "rdf ideal gas" `Quick test_rdf_ideal_gas_near_one;
       Alcotest.test_case "rdf core and first shell" `Quick
@@ -1003,5 +999,9 @@ let tests =
       Alcotest.test_case "vacf validation" `Quick test_vacf_validation;
       qcheck translation_invariance_prop;
       Alcotest.test_case "pairlist full stats = gather bitwise" `Quick
-        test_full_stats_matches_gather_bitwise
+        test_full_stats_matches_gather_bitwise;
+      Alcotest.test_case "relax = gather relaxation bitwise" `Quick
+        test_relax_matches_gather_bitwise;
+      Alcotest.test_case "relax records nothing" `Quick
+        test_relax_records_nothing
     ] )

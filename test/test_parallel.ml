@@ -1,15 +1,11 @@
 (* Tests for the Mdpar domain pool and the parallel/serial equivalence of
-   every path that uses it: pooled force gathers, cell-binned pairlist
-   builds, the stateful cell-list engine, and the parallel experiment
-   harness.  The contract under test: host parallelism must never change
-   a result — forces bit-for-bit at any pool size, reductions
-   deterministic per pool size and within summation-order noise of
-   serial, reports byte-identical. *)
+   every path that uses it: cell-binned pairlist builds and the parallel
+   experiment harness.  The contract under test: host parallelism must
+   never change a result — lists, forces and PE bit-for-bit at any pool
+   size, reports byte-identical. *)
 
 module System = Mdcore.System
-module Forces = Mdcore.Forces
 module Pairlist = Mdcore.Pairlist
-module Cell_list = Mdcore.Cell_list
 module Init = Mdcore.Init
 module Verlet = Mdcore.Verlet
 
@@ -35,41 +31,6 @@ let test_parallel_for_covers_range () =
   Mdpar.parallel_for (pool 4) ~lo:3 ~hi:3 (fun i -> one := i);
   Alcotest.(check int) "singleton" 3 !one
 
-let test_parallel_for_reduce_exact () =
-  let expected = 1000 * 1001 / 2 in
-  List.iter
-    (fun d ->
-      let total =
-        Mdpar.parallel_for_reduce (pool d) ~lo:1 ~hi:1000 ~init:0
-          ~combine:( + ) ~body:Fun.id
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "sum 1..1000 (%d domains)" d)
-        expected total)
-    pool_sizes
-
-let test_parallel_for_reduce_deterministic () =
-  (* Float partials must land in chunk slots: repeated runs agree
-     bit-for-bit for a fixed pool size, and one chunk is exactly the
-     serial fold. *)
-  let body i = 1.0 /. float_of_int (i + 1) in
-  let run d =
-    Mdpar.parallel_for_reduce (pool d) ~lo:0 ~hi:9999 ~init:0.0
-      ~combine:( +. ) ~body
-  in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "repeatable (%d domains)" d)
-        true
-        (run d = run d))
-    pool_sizes;
-  let serial = ref 0.0 in
-  for i = 0 to 9999 do
-    serial := !serial +. body i
-  done;
-  Alcotest.(check (float 0.0)) "1 domain = serial fold" !serial (run 1)
-
 let test_map_list_order () =
   List.iter
     (fun d ->
@@ -84,13 +45,15 @@ let test_map_list_order () =
 
 let test_nested_regions () =
   (* An inner region entered from a worker must degrade gracefully, not
-     deadlock: 8 outer items each running an inner reduce. *)
+     deadlock: 8 outer items each running an inner parallel_for. *)
   let p = pool 4 in
   let outer =
     Mdpar.map_list p
       (fun k ->
-        Mdpar.parallel_for_reduce p ~lo:0 ~hi:99 ~init:0 ~combine:( + )
-          ~body:(fun i -> (k * 100) + i))
+        let cells = Array.make 100 0 in
+        Mdpar.parallel_for p ~lo:0 ~hi:99 (fun i ->
+            cells.(i) <- (k * 100) + i);
+        Array.fold_left ( + ) 0 cells)
       (List.init 8 Fun.id)
   in
   Alcotest.(check (list int)) "nested totals"
@@ -109,47 +72,10 @@ let test_exception_propagation () =
            false
          with Failure m -> m = "boom");
       (* the pool must stay usable afterwards *)
-      let total =
-        Mdpar.parallel_for_reduce (pool d) ~lo:1 ~hi:10 ~init:0
-          ~combine:( + ) ~body:Fun.id
-      in
-      Alcotest.(check int) "pool alive after exn" 55 total)
-    pool_sizes
-
-(* ---------------- Forces on the pool ---------------- *)
-
-let test_gather_pool_equivalence () =
-  let reference = Init.build ~seed:11 ~n:216 () in
-  let pe_serial = Forces.compute_gather (System.copy reference) in
-  List.iter
-    (fun d ->
-      let s = System.copy reference in
-      let s_ref = System.copy reference in
-      ignore (Forces.compute_gather s_ref);
-      let pe = Forces.compute_gather_pool ~pool:(pool d) s in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "forces bit-identical (%d domains)" d)
-        0.0
-        (System.max_acceleration_delta s s_ref);
-      (* The pool folds per-row subtotals (row grouping), the serial
-         gather folds candidate-by-candidate: equal only up to summation
-         order, at every pool size including 1. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "PE within 1e-12 rel (%d domains)" d)
-        true
-        (abs_float (pe -. pe_serial) <= 1e-12 *. abs_float pe_serial))
-    pool_sizes
-
-let test_gather_pool_matches_spawn () =
-  (* The pool re-implements the spawn-per-call chunking exactly: same
-     chunk boundaries, same combine order, so bit-equal PE. *)
-  let reference = Init.build ~seed:13 ~n:128 () in
-  List.iter
-    (fun d ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "pool = spawn (%d domains)" d)
-        (Forces.compute_gather_spawn ~domains:d (System.copy reference))
-        (Forces.compute_gather_domains ~domains:d (System.copy reference)))
+      let cells = Array.make 10 0 in
+      Mdpar.parallel_for (pool d) ~lo:1 ~hi:10 (fun i -> cells.(i - 1) <- i);
+      Alcotest.(check int) "pool alive after exn" 55
+        (Array.fold_left ( + ) 0 cells))
     pool_sizes
 
 (* ---------------- Pairlist: cell-binned O(N) builds ---------------- *)
@@ -227,37 +153,6 @@ let test_pairlist_rebuild_cadence_invariant () =
         (System.max_position_delta s1 sd))
     [ 2; 4 ]
 
-(* ---------------- Cell_list: stateful + pooled ---------------- *)
-
-(* 512 atoms at density 0.8: box ~ 8.62 sigma >= 3 * cutoff. *)
-let cell_system () = Init.build ~seed:3 ~n:512 ()
-
-let test_cell_list_stateful_equivalence () =
-  let reference = cell_system () in
-  let legacy_s = System.copy reference in
-  let pe_legacy = Cell_list.compute legacy_s in
-  List.iter
-    (fun d ->
-      let s = System.copy reference in
-      let cl = Cell_list.create ~pool:(pool d) s in
-      let pe = Cell_list.compute_with cl s in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "forces bit-identical (%d domains)" d)
-        0.0
-        (System.max_acceleration_delta s legacy_s);
-      if d = 1 then
-        Alcotest.(check (float 0.0)) "PE exact at 1 domain" pe_legacy pe
-      else
-        Alcotest.(check bool)
-          (Printf.sprintf "PE within 1e-12 rel (%d domains)" d)
-          true
-          (abs_float (pe -. pe_legacy) <= 1e-12 *. abs_float pe_legacy);
-      (* buffer reuse: a second evaluation rebins in place and agrees *)
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "rebinned evaluation stable (%d domains)" d)
-        pe (Cell_list.compute_with cl s))
-    pool_sizes
-
 (* ---------------- Harness: parallel run_all ---------------- *)
 
 let test_run_all_byte_identical () =
@@ -277,25 +172,15 @@ let tests =
   ( "parallel",
     [ Alcotest.test_case "parallel_for covers range" `Quick
         test_parallel_for_covers_range;
-      Alcotest.test_case "parallel_for_reduce exact" `Quick
-        test_parallel_for_reduce_exact;
-      Alcotest.test_case "parallel_for_reduce deterministic" `Quick
-        test_parallel_for_reduce_deterministic;
       Alcotest.test_case "map_list order" `Quick test_map_list_order;
       Alcotest.test_case "nested regions" `Quick test_nested_regions;
       Alcotest.test_case "exception propagation" `Quick
         test_exception_propagation;
-      Alcotest.test_case "gather pool equivalence" `Quick
-        test_gather_pool_equivalence;
-      Alcotest.test_case "gather pool matches spawn" `Quick
-        test_gather_pool_matches_spawn;
       Alcotest.test_case "pairlist cell path active" `Quick
         test_pairlist_cells_active;
       Alcotest.test_case "pairlist build equivalence" `Quick
         test_pairlist_build_equivalence;
       Alcotest.test_case "pairlist rebuild cadence invariant" `Slow
         test_pairlist_rebuild_cadence_invariant;
-      Alcotest.test_case "cell list stateful equivalence" `Quick
-        test_cell_list_stateful_equivalence;
       Alcotest.test_case "run_all byte-identical" `Slow
         test_run_all_byte_identical ] )
