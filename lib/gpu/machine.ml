@@ -189,10 +189,13 @@ let resolve_to_texture t rt tex =
   | None -> ());
   charge t Dispatch t.cfg.dispatch_overhead
 
+(* [fetched] counts this sampler's texel reads; [dispatch] adds the
+   total to [gpu/texture_fetches] once, so a block of fragments on any
+   domain counts into its own sampler. *)
 type sampler = {
   bound : texture array;
-  fetches : Mdprof.counter option;
   ft_texture : Mdfault.stream;
+  mutable fetched : int;
 }
 
 (* Consumer VRAM has no ECC: a bit flip on the texture-read path is
@@ -218,7 +221,7 @@ let sample s ~input i =
     invalid_arg
       (Printf.sprintf "Gpustream.sample: texel %d out of range for %s" i
          tex.tex_name);
-  (match s.fetches with Some c -> Mdprof.incr c | None -> ());
+  s.fetched <- s.fetched + 1;
   let v = tex.data.(i) in
   if (not (Mdfault.inert s.ft_texture)) && Mdfault.fire s.ft_texture then
     texture_flip s tex i v
@@ -228,17 +231,21 @@ let compile t ~name ~body ~prologue =
   charge t Setup t.cfg.jit_seconds;
   { shader_name = name; body; prologue }
 
-let dispatch t shader ~inputs ~target ?(loop_trip = 1) ~f () =
+(* Functional execution: one invocation per output texel; the shader can
+   only write its own location because the API takes its return value. *)
+let shade target f sampler ~lo ~hi =
+  for i = lo to hi - 1 do
+    target.pixels.(i) <- f sampler i
+  done
+
+let dispatch t shader ~inputs ~target ?(loop_trip = 1) ?pool ~f () =
   if List.length inputs > t.cfg.max_inputs then
     invalid_arg
       (Printf.sprintf "Gpustream.dispatch: %d inputs exceeds limit %d"
          (List.length inputs) t.cfg.max_inputs);
   if loop_trip < 0 then invalid_arg "Gpustream.dispatch: loop_trip < 0";
-  let sampler =
-    { bound = Array.of_list inputs;
-      fetches = Option.map (fun p -> p.p_texture_fetches) t.prof;
-      ft_texture = t.ft_texture }
-  in
+  let bound = Array.of_list inputs in
+  let sampler () = { bound; ft_texture = t.ft_texture; fetched = 0 } in
   let n = Array.length target.pixels in
   (match t.prof with
   | Some p ->
@@ -246,11 +253,27 @@ let dispatch t shader ~inputs ~target ?(loop_trip = 1) ~f () =
       Mdprof.incr p.p_rt_binds;
       Mdprof.add p.p_fragments_shaded n
   | None -> ());
-  (* Functional execution: one invocation per output texel; the shader can
-     only write its own location because the API takes its return value. *)
-  for i = 0 to n - 1 do
-    target.pixels.(i) <- f sampler i
-  done;
+  (* Texel blocks run on the pool only while the texture fault stream
+     is inert: a live stream draws per fetch, in texel order.  A
+     1-domain pool runs the blocks inline, in texel order. *)
+  let fetched =
+    match pool with
+    | Some pool when Mdfault.inert t.ft_texture ->
+      let blocks = min n (4 * Mdpar.size pool) in
+      let counts = Array.make blocks 0 in
+      Mdpar.parallel_for pool ~chunk:1 ~lo:0 ~hi:(blocks - 1) (fun b ->
+          let s = sampler () in
+          shade target f s ~lo:(b * n / blocks) ~hi:((b + 1) * n / blocks);
+          counts.(b) <- s.fetched);
+      Array.fold_left ( + ) 0 counts
+    | _ ->
+      let s = sampler () in
+      shade target f s ~lo:0 ~hi:n;
+      s.fetched
+  in
+  (match t.prof with
+  | Some p -> Mdprof.add p.p_texture_fetches fetched
+  | None -> ());
   charge t Dispatch t.cfg.dispatch_overhead;
   let cycles =
     (Isa.Gpu_pipe.dispatch_cycles shader.body ~fragments:(n * loop_trip)

@@ -90,13 +90,23 @@ val compile : t -> name:string -> body:Isa.Block.t ->
     using the provided JIT compiler at program initialization". *)
 
 val dispatch : t -> shader -> inputs:texture list -> target:render_target ->
-  ?loop_trip:int -> f:(sampler -> int -> Vecmath.Vec4f.t) -> unit -> unit
+  ?loop_trip:int -> ?pool:Mdpar.t -> f:(sampler -> int -> Vecmath.Vec4f.t) ->
+  unit -> unit
 (** Execute the shader once per texel of [target]: texel [i] of the target
     becomes [f sampler i].  Charges per-call dispatch overhead plus
     shader-core time for [fragments * loop_trip] body iterations and
     [fragments] prologues (divided by the pipe count and the achieved
     efficiency).  Raises [Invalid_argument] if more than [max_inputs]
-    textures are bound or [loop_trip < 0]. *)
+    textures are bound or [loop_trip < 0].
+
+    With a [pool], contiguous blocks of texels are shaded on it, so [f]
+    must be safe to call concurrently for distinct texels (shared
+    mutable state per domain or per texel only); a 1-domain pool runs
+    the blocks inline in texel order.  Texture fetches are counted per
+    block and added to [gpu/texture_fetches] once per dispatch, the
+    same total as a serial run.  While the texture fault stream is live
+    the dispatch stays serial in texel order, so fault draws replay
+    exactly.  Without [pool] texels are shaded serially in order. *)
 
 val cpu_charge : t -> seconds:float -> unit
 (** Host-side work (the paper sums per-atom PE contributions on the CPU

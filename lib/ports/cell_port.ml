@@ -25,12 +25,22 @@ let default_config =
 (* Single-precision physics                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Each domain's row accumulator for the pooled row loop. *)
+let domain_acc = Domain.DLS.new_key F32_kernel.acc
+
 (* Full binary32 force evaluation: stage positions to binary32, run
    every row through the shared kernel loop, write accelerations back.
    The arithmetic every SPE variant performs is the same (the SIMD
    rewrites change scheduling, not values).  [row_hits] (length n)
-   receives per-row interaction counts. *)
-let f32_compute_over partners ~row_hits (s : Mdcore.System.t) =
+   receives per-row interaction counts.
+
+   The rows run as one region on the default pool, as the SPEs split
+   them: row i writes only its own acceleration, hit and PE slots, and
+   the PE slots ([pe_rows], length at least n, owned by the caller for
+   the whole run) are then folded in row order — the serial loop's
+   additions in the serial order, so the result is bitwise the same at
+   any pool size. *)
+let f32_compute_over ~pe_rows partners ~row_hits (s : Mdcore.System.t) =
   let p = F32_kernel.of_system s in
   (* Binary32 staging through the system's reusable buffers: a Float32
      bigarray store rounds to nearest single exactly like [F32.round],
@@ -39,19 +49,22 @@ let f32_compute_over partners ~row_hits (s : Mdcore.System.t) =
      allocation. *)
   let px, py, pz = Mdcore.System.stage_positions_f32 s in
   let src = F32_kernel.Staged (px, py, pz) in
-  let acc = F32_kernel.acc () in
+  let { Mdcore.System.n; acc_x; acc_y; acc_z; _ } = s in
+  Mdpar.parallel_for (Mdpar.get ()) ~lo:0 ~hi:(n - 1) (fun i ->
+      let acc = Domain.DLS.get domain_acc in
+      row_hits.(i) <- F32_kernel.gather p acc src partners i;
+      acc_x.{i} <- acc.F32_kernel.ax;
+      acc_y.{i} <- acc.F32_kernel.ay;
+      acc_z.{i} <- acc.F32_kernel.az;
+      pe_rows.(i) <- acc.F32_kernel.pe);
   let pe2 = ref 0.0 in
-  for i = 0 to s.Mdcore.System.n - 1 do
-    row_hits.(i) <- F32_kernel.gather p acc src partners i;
-    s.Mdcore.System.acc_x.{i} <- acc.F32_kernel.ax;
-    s.Mdcore.System.acc_y.{i} <- acc.F32_kernel.ay;
-    s.Mdcore.System.acc_z.{i} <- acc.F32_kernel.az;
-    pe2 := !pe2 +. acc.F32_kernel.pe
+  for i = 0 to n - 1 do
+    pe2 := !pe2 +. pe_rows.(i)
   done;
   0.5 *. !pe2
 
-let f32_compute ~row_hits (s : Mdcore.System.t) =
-  f32_compute_over (F32_kernel.All s.Mdcore.System.n) ~row_hits s
+let f32_compute ~pe_rows ~row_hits (s : Mdcore.System.t) =
+  f32_compute_over ~pe_rows (F32_kernel.All s.Mdcore.System.n) ~row_hits s
 
 (* Double-precision row gather with per-row hit recording — the physics of
    the hypothetical DP port (identical to the reference kernel; recorded
@@ -96,8 +109,8 @@ let dp_compute ~row_hits (s : Mdcore.System.t) =
    same in-cutoff tests and contribute nothing, and in-cutoff partners
    arrive in the same ascending order, so both are bit-identical to
    their N² counterparts on the same positions. *)
-let f32_compute_rows ~row_hits rows s =
-  f32_compute_over (F32_kernel.Rows rows) ~row_hits s
+let f32_compute_rows ~pe_rows ~row_hits rows s =
+  f32_compute_over ~pe_rows (F32_kernel.Rows rows) ~row_hits s
 
 let dp_compute_rows ~row_hits rows (s : Mdcore.System.t) =
   let { Mdcore.System.n; box; params; pos_x; pos_y; pos_z;
@@ -134,9 +147,14 @@ let dp_compute_rows ~row_hits rows (s : Mdcore.System.t) =
   0.5 *. !pe2
 
 let apply_f32_engine _system =
+  let row_hits = ref [||] and pe_rows = ref [||] in
   Mdcore.Engine.make ~name:"cell-f32" ~compute:(fun s ->
-      let row_hits = Array.make s.Mdcore.System.n 0 in
-      f32_compute ~row_hits s)
+      let n = s.Mdcore.System.n in
+      if Array.length !row_hits <> n then begin
+        row_hits := Array.make n 0;
+        pe_rows := Array.make n 0.0
+      end;
+      f32_compute ~pe_rows:!pe_rows ~row_hits:!row_hits s)
 
 (* ------------------------------------------------------------------ *)
 (* Profiles                                                           *)
@@ -173,11 +191,12 @@ let profile_run ?(steps = 10) ?(precision = Single)
     | None -> None
     | Some skin -> Some (Mdcore.Pairlist.create ~skin s)
   in
+  let pe_rows = Array.make n 0.0 in
   let compute row_hits sys =
     match pl with
     | None ->
       (match precision with
-      | Single -> f32_compute ~row_hits sys
+      | Single -> f32_compute ~pe_rows ~row_hits sys
       | Double -> dp_compute ~row_hits sys)
     | Some pl ->
       let rebuilt = Mdcore.Pairlist.refresh pl in
@@ -193,7 +212,7 @@ let profile_run ?(steps = 10) ?(precision = Single)
           scanned }
         :: !tiles;
       (match precision with
-      | Single -> f32_compute_rows ~row_hits rows sys
+      | Single -> f32_compute_rows ~pe_rows ~row_hits rows sys
       | Double -> dp_compute_rows ~row_hits rows sys)
   in
   let engine =

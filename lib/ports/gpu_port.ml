@@ -25,10 +25,15 @@ let charge_host_block machine block ~iterations =
    indices per float4) and the neighbour's position (input 0).  The
    arithmetic per contributing pair is exactly the brute fragment's, in
    the same ascending-j order, so trajectories are bitwise those of the
-   N² shader. *)
-let fragment p acc partners starts hits sampler i =
-  hits :=
-    !hits + F32_kernel.gather p acc (Texture (sampler, starts)) partners i;
+   N² shader.  Fragments may run on any domain of the pool, so the
+   accumulator is the running domain's and the hit count lands in the
+   fragment's own row slot. *)
+let domain_acc = Domain.DLS.new_key F32_kernel.acc
+
+let fragment p partners starts row_hits sampler i =
+  let acc = Domain.DLS.get domain_acc in
+  row_hits.(i) <-
+    F32_kernel.gather p acc (Texture (sampler, starts)) partners i;
   Vec4f.make acc.F32_kernel.ax acc.F32_kernel.ay acc.F32_kernel.az
     acc.F32_kernel.pe
 
@@ -121,6 +126,10 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
   let hits_total = ref 0 in
   let invocations = ref 0 in
   let staging = Array.make n Vec4f.zero in
+  (* The MD shader's fragments run on the default pool; their per-row
+     hit counts are summed after each dispatch. *)
+  let pool = Mdpar.get () in
+  let row_hits = Array.make n 0 in
   (* Pairlist device state.  The packed neighbour-index texture and the
      per-row (start, count) descriptor texture live in VRAM and cross
      the PCIe bus only on rebuild steps — positions still upload every
@@ -194,13 +203,11 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
         done;
         charge_host_block m Kernels.ppe_stage_block ~iterations:n;
         Machine.upload m positions staging;
-        let hits = ref 0 in
-        let acc = F32_kernel.acc () in
         (match pl with
         | None ->
           Machine.dispatch m shader ~inputs:[ positions ] ~target:accels
-            ~loop_trip:n
-            ~f:(fragment p acc (All n) [||] hits)
+            ~loop_trip:n ~pool
+            ~f:(fragment p (All n) [||] row_hits)
             ();
           body_iters := !body_iters + (n * n);
           pairs_total := !pairs_total + (n * n)
@@ -212,12 +219,12 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
           Machine.dispatch m shader
             ~inputs:
               [ positions; Option.get !row_tex; Option.get !idx_tex ]
-            ~target:accels ~loop_trip:lt
-            ~f:(fragment p acc (Rows !rows) !row_start hits)
+            ~target:accels ~loop_trip:lt ~pool
+            ~f:(fragment p (Rows !rows) !row_start row_hits)
             ();
           body_iters := !body_iters + (n * lt);
           pairs_total := !pairs_total + !entries);
-        hits_total := !hits_total + !hits;
+        hits_total := !hits_total + Array.fold_left ( + ) 0 row_hits;
         let result = Machine.readback m accels in
         for i = 0 to n - 1 do
           sys.Mdcore.System.acc_x.{i} <- result.(i).Vec4f.a;

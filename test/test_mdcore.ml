@@ -612,6 +612,82 @@ let test_full_stats_matches_gather_bitwise () =
           ("z", reference.System.acc_z, s.System.acc_z) ])
     (bitwise_systems ())
 
+(* Run [f] with the default pool sized [domains], restoring the
+   previous default afterwards. *)
+let with_default_domains domains f =
+  let saved = Mdpar.default_domains () in
+  Mdpar.set_default_domains domains;
+  Fun.protect ~finally:(fun () -> Mdpar.set_default_domains saved) f
+
+let check_same_bufs name pairs =
+  List.iter
+    (fun (what, (a : System.buf), (b : System.buf)) ->
+      for i = 0 to Bigarray.Array1.dim a - 1 do
+        if not (same_bits a.{i} b.{i}) then
+          Alcotest.failf "%s: %s.{%d} %h <> %h" name what i b.{i} a.{i}
+      done)
+    pairs
+
+(* The full-row gather over lists built on explicit 2- and 4-domain
+   pools (rows binned in parallel) against the reference gather: once
+   on the built list, again on a repeat evaluation, and once more after
+   a jitter past the skin forces a rebuild on the pool.  [Init.relax]
+   builds its list on the default pool, so [Init.build] must not depend
+   on the pool size either. *)
+let test_full_stats_pooled_bitwise () =
+  List.iter
+    (fun domains ->
+      let pool = Mdpar.create ~domains () in
+      Fun.protect
+        ~finally:(fun () -> Mdpar.shutdown pool)
+        (fun () ->
+          List.iter
+            (fun (name, base, skin) ->
+              let name = Printf.sprintf "%s, %d domains" name domains in
+              let reference = System.copy base and s = System.copy base in
+              let pl = Pairlist.create ~skin ~pool s in
+              let check what =
+                let pe_ref, hits_ref = Forces.compute_gather_stats reference in
+                let pe, hits = Pairlist.compute_full_stats pl s in
+                let name = name ^ ", " ^ what in
+                Alcotest.(check int) (name ^ ": hits") hits_ref hits;
+                if not (same_bits pe_ref pe) then
+                  Alcotest.failf "%s: PE %h <> %h" name pe pe_ref;
+                check_same_bufs name
+                  [ ("acc_x", reference.System.acc_x, s.System.acc_x);
+                    ("acc_y", reference.System.acc_y, s.System.acc_y);
+                    ("acc_z", reference.System.acc_z, s.System.acc_z) ]
+              in
+              check "first";
+              check "repeat";
+              let rebuilds = Pairlist.rebuild_count pl in
+              List.iter
+                (fun sys ->
+                  Init.jitter_positions sys ~magnitude:0.3
+                    (Sim_util.Rng.create 17))
+                [ reference; s ];
+              check "rebuilt";
+              Alcotest.(check int) (name ^ ": rebuilt once") (rebuilds + 1)
+                (Pairlist.rebuild_count pl))
+            (bitwise_systems ())))
+    [ 2; 4 ];
+  let build domains =
+    with_default_domains domains (fun () -> Init.build ~n:864 ())
+  in
+  let serial = build 1 in
+  List.iter
+    (fun domains ->
+      let pooled = build domains in
+      check_same_bufs
+        (Printf.sprintf "Init.build ~n:864, 1 vs %d domains" domains)
+        [ ("pos_x", serial.System.pos_x, pooled.System.pos_x);
+          ("pos_y", serial.System.pos_y, pooled.System.pos_y);
+          ("pos_z", serial.System.pos_z, pooled.System.pos_z);
+          ("vel_x", serial.System.vel_x, pooled.System.vel_x);
+          ("vel_y", serial.System.vel_y, pooled.System.vel_y);
+          ("vel_z", serial.System.vel_z, pooled.System.vel_z) ])
+    [ 2; 4 ]
+
 (* [Init.relax]'s descent with forces from the reference gather, step
    for step: the oracle the list-driven relaxation must match bitwise. *)
 let gather_relax (s : System.t) ~iterations ~max_step =
@@ -1000,6 +1076,8 @@ let tests =
       qcheck translation_invariance_prop;
       Alcotest.test_case "pairlist full stats = gather bitwise" `Quick
         test_full_stats_matches_gather_bitwise;
+      Alcotest.test_case "full stats pooled = gather bitwise" `Quick
+        test_full_stats_pooled_bitwise;
       Alcotest.test_case "relax = gather relaxation bitwise" `Quick
         test_relax_matches_gather_bitwise;
       Alcotest.test_case "relax records nothing" `Quick

@@ -210,6 +210,216 @@ let test_hot_loops_allocation_free () =
            words (fun () -> ignore (Verlet.step s ~engine:no_force)));
           ("opteron memory replay", words (replay n) -. words (replay 1)) ])
 
+(* The same guard for the pooled row loops, on default pools of 1 and 2
+   domains: the Cell binary32 engine and a pooled GPU dispatch
+   (fragments take their accumulator per domain).  The first evaluation
+   sizes the per-run buffers; a repeat evaluation must stay within 8
+   minor words per atom on the calling domain and allocate no n-sized
+   array (which would bypass the minor heap, so it is read as major
+   words not promoted from it). *)
+let test_pooled_loops_allocation_free () =
+  let n = 2048 in
+  let s = Init.build ~seed:3 ~n () in
+  let pl = Pairlist.create s in
+  Pairlist.force_rebuild pl;
+  let rows = Pairlist.full_rows pl in
+  let p = F32k.of_system s in
+  let px, py, pz = System.stage_positions_f32 s in
+  let m = Gm.create Gpustream.Config.geforce_7900gtx in
+  let positions = Gm.create_texture m ~name:"positions" ~texels:n in
+  Gm.upload m positions
+    (Array.init n (fun i -> Vec4f.make px.{i} py.{i} pz.{i} 0.0));
+  let inputs =
+    [ positions;
+      Gm.create_texture m ~name:"rows" ~texels:n;
+      Gm.create_texture m ~name:"indices"
+        ~texels:((Pairlist.full_entry_count pl + 3) / 4) ]
+  in
+  let target = Gm.create_render_target m ~name:"out" ~texels:n in
+  let shader =
+    Gm.compile m ~name:"gather" ~body:Mdports.Kernels.gpu_candidate
+      ~prologue:Mdports.Kernels.gpu_fragment_prologue
+  in
+  let starts = row_starts rows and partners = F32k.Rows rows in
+  let acc = Domain.DLS.new_key F32k.acc in
+  let f32_engine = (Cell.apply_f32_engine s).Mdcore.Engine.compute in
+  let alloc f =
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
+  in
+  List.iter
+    (fun domains ->
+      Test_mdcore.with_default_domains domains (fun () ->
+          let pool = Mdpar.get () in
+          List.iter
+            (fun (name, f) ->
+              let name = Printf.sprintf "%s, %d domains" name domains in
+              f ();
+              let minor, direct = alloc f in
+              if minor > 8.0 *. float_of_int n then
+                Alcotest.failf "%s allocated %.0f minor words (> 8 per atom)"
+                  name minor;
+              if direct >= float_of_int n then
+                Alcotest.failf "%s allocated %.0f words outside the minor heap"
+                  name direct)
+            [ ("cell f32 engine (N^2)", fun () -> ignore (f32_engine s));
+              ("gpu fragments",
+               fun () ->
+                 Gm.dispatch m shader ~inputs ~target ~pool
+                   ~f:(fun sampler i ->
+                     let src = F32k.Texture (sampler, starts) in
+                     ignore
+                       (F32k.gather p (Domain.DLS.get acc) src partners i);
+                     Vec4f.zero)
+                   ()) ]))
+    [ 1; 2 ]
+
+(* Every bit a port run leaves behind, as strings: per-step records,
+   the final SoA buffers, the metrics document and the virtual counter
+   export. *)
+let run_bits run s =
+  Mdprof.clear ();
+  Mdprof.enable ();
+  Fun.protect ~finally:Mdprof.clear (fun () ->
+      let r = run s in
+      let bits xs =
+        String.concat " "
+          (List.map (fun x -> Int64.to_string (Int64.bits_of_float x)) xs)
+      in
+      let records =
+        String.concat "\n"
+          (List.map
+             (fun (rc : Verlet.step_record) ->
+               Printf.sprintf "%d %s" rc.Verlet.step
+                 (bits
+                    [ rc.Verlet.sim_time; rc.Verlet.pe; rc.Verlet.ke;
+                      rc.Verlet.total_energy; rc.Verlet.temperature ]))
+             r.Rr.records)
+      in
+      let f = Option.get r.Rr.final_system in
+      let soa =
+        String.concat "\n"
+          (List.map
+             (fun (b : System.buf) ->
+               bits (List.init f.System.n (fun i -> b.{i})))
+             System.[ f.pos_x; f.pos_y; f.pos_z; f.vel_x; f.vel_y; f.vel_z;
+                      f.acc_x; f.acc_y; f.acc_z ])
+      in
+      let fetches =
+        match Mdprof.find "gpu/texture_fetches" with
+        | Some x -> Printf.sprintf "%.0f" x.Mdprof.s_value
+        | None -> "none"
+      in
+      [ ("records", records); ("final SoA", soa);
+        ("metrics", Rr.metrics_json r); ("counters", Mdprof.to_json ());
+        ("texture fetches", fetches) ])
+
+let check_same_bits name reference candidate =
+  List.iter2
+    (fun (what, a) (_, b) ->
+      if not (String.equal a b) then Alcotest.failf "%s: %s differ" name what)
+    reference candidate
+
+(* The ports whose host physics runs row-parallel on the default pool
+   must leave the same bits at 1, 2 and 4 domains: Cell on both force
+   paths, GPU with both PE strategies (the reduction shader stays
+   serial) and MTA in both modes. *)
+let test_gather_ports_pool_invariant () =
+  let steps = 2 in
+  let ports =
+    [ ("cell pairlist", fun s -> Cell.run ~steps s);
+      ("cell brute",
+       fun s -> Cell.run ~steps ~force_path:Mdports.Force_path.brute s);
+      ("gpu readback", fun s -> Gpu.run ~steps s);
+      ("gpu reduction", fun s -> Gpu.run ~steps ~pe_strategy:Gpu.Gpu_reduction s);
+      ("mta fully", fun s -> Mta.run ~steps s);
+      ("mta partially",
+       fun s -> Mta.run ~steps ~mode:Mta.Partially_multithreaded s) ]
+  in
+  List.iter
+    (fun n ->
+      let s = Init.build ~seed:23 ~n () in
+      List.iter
+        (fun (name, run) ->
+          let at domains =
+            Test_mdcore.with_default_domains domains (fun () -> run_bits run s)
+          in
+          let serial = at 1 in
+          if String.starts_with ~prefix:"gpu" name then
+            Alcotest.(check bool)
+              (name ^ ": texture fetches counted") true
+              (List.assoc "texture fetches" serial <> "none");
+          List.iter
+            (fun domains ->
+              check_same_bits
+                (Printf.sprintf "%s, n=%d, 1 vs %d domains" name n domains)
+                serial (at domains))
+            [ 2; 4 ])
+        ports)
+    [ 864; 2048 ];
+  (* The runs above sum row PEs whose double-precision sum is exact, so
+     the order of the Cell rows' PE fold cannot show in them.  With
+     atoms jittered into overlap (PE about 1e13) the sum rounds, and
+     only a fold in row order matches a serial loop over the rows. *)
+  let s = Init.build ~seed:23 ~n:864 () in
+  Init.jitter_positions s ~magnitude:0.6 (Sim_util.Rng.create 17);
+  let n = s.System.n in
+  let bits_of (s : System.t) pe =
+    Int64.to_string (Int64.bits_of_float pe)
+    :: List.concat_map
+         (fun (b : System.buf) ->
+           List.init n (fun i -> Int64.to_string (Int64.bits_of_float b.{i})))
+         System.[ s.acc_x; s.acc_y; s.acc_z ]
+  in
+  let serial =
+    let s = System.copy s in
+    let p = F32k.of_system s in
+    let px, py, pz = System.stage_positions_f32 s in
+    let acc = F32k.acc () and pe2 = ref 0.0 in
+    for i = 0 to n - 1 do
+      ignore (F32k.gather p acc (F32k.Staged (px, py, pz)) (F32k.All n) i);
+      s.System.acc_x.{i} <- acc.F32k.ax;
+      s.System.acc_y.{i} <- acc.F32k.ay;
+      s.System.acc_z.{i} <- acc.F32k.az;
+      pe2 := !pe2 +. acc.F32k.pe
+    done;
+    bits_of s (0.5 *. !pe2)
+  in
+  List.iter
+    (fun domains ->
+      Test_mdcore.with_default_domains domains (fun () ->
+          let s = System.copy s in
+          let pe = (Cell.apply_f32_engine s).Mdcore.Engine.compute s in
+          if bits_of s pe <> serial then
+            Alcotest.failf
+              "cell f32 engine, overlapping atoms, %d domains: not the \
+               serial loop's bits"
+              domains))
+    [ 1; 2; 4 ]
+
+(* With a live texture fault stream the GPU dispatch stays serial in
+   texel order, so the same texels flip at any pool size. *)
+let test_gpu_texture_faults_replay_across_pools () =
+  let s = Init.build ~seed:23 ~n:864 () in
+  let run domains =
+    Test_mdcore.with_default_domains domains (fun () ->
+        match Mdfault.parse_spec "gpu-texture:1e-5,seed=3" with
+        | Error msg -> Alcotest.fail msg
+        | Ok spec ->
+          Mdfault.install spec;
+          Fun.protect ~finally:Mdfault.uninstall (fun () ->
+              let bits = run_bits (fun s -> Gpu.run ~steps:2 s) s in
+              (bits, Mdfault.events_string (),
+               (Mdfault.summary ()).Mdfault.injected)))
+  in
+  let bits1, log1, injected = run 1 in
+  let bits4, log4, _ = run 4 in
+  Alcotest.(check bool) "texture faults fired" true (injected > 0);
+  Alcotest.(check string) "same fault log" log1 log4;
+  check_same_bits "gpu with texture faults, 1 vs 4 domains" bits1 bits4
+
 let test_f32_matches_double_reference () =
   let s_ref = sys () in
   let s_f32 = System.copy s_ref in
@@ -671,5 +881,11 @@ let tests =
       Alcotest.test_case "f32 gather = pair_terms bitwise" `Quick
         test_f32_gather_matches_pair_terms;
       Alcotest.test_case "hot loops allocation-free" `Quick
-        test_hot_loops_allocation_free
+        test_hot_loops_allocation_free;
+      Alcotest.test_case "pooled loops allocation-free" `Quick
+        test_pooled_loops_allocation_free;
+      Alcotest.test_case "gather ports pool-invariant" `Quick
+        test_gather_ports_pool_invariant;
+      Alcotest.test_case "gpu texture faults replay across pools" `Quick
+        test_gpu_texture_faults_replay_across_pools
     ] )
