@@ -426,14 +426,7 @@ let test_substrates =
         (Staged.stage (fun () ->
              Seqalign.Mta_sw.align
                ~machine:(Mta.Machine.create (Mta.Config.mta2 ()))
-               seq_a seq_b));
-      Test.make ~name:"streamdsl-map-reduce"
-        (Staged.stage (fun () ->
-             let ctx = Streamdsl.Ctx.create () in
-             let s =
-               Streamdsl.Stream.of_floats ctx (Array.make 256 1.0)
-             in
-             Streamdsl.Stream.reduce_sum s)) ]
+               seq_a seq_b)) ]
 
 let all_tests =
   Test.make_grouped ~name:"repro"

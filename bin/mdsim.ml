@@ -52,16 +52,16 @@ let skin_arg =
 
 let device_arg =
   let devices =
-    [ ("opteron", `Opteron); ("cell", `Cell); ("cell-1spe", `Cell1);
-      ("ppe", `Ppe); ("gpu", `Gpu); ("mta", `Mta);
-      ("mta-partial", `Mta_partial) ]
+    List.map
+      (fun d -> (Mdckpt.Runner.device_name d, d))
+      Mdckpt.Runner.all_devices
   in
   let doc =
     "Device model: " ^ String.concat ", " (List.map fst devices) ^ "."
   in
   Arg.(
     value
-    & opt (enum devices) `Opteron
+    & opt (enum devices) Mdckpt.Runner.Opteron
     & info [ "d"; "device" ] ~docv:"DEVICE" ~doc)
 
 let quick_arg =
@@ -147,8 +147,7 @@ let faults_arg =
      list of SITE:RATE (sites: cell-dma, cell-mailbox, gpu-pcie, \
      gpu-texture, mta-retry, mem-bitflip, or $(b,all)), plus optional \
      seed=INT, retries=INT, backoff=SECS, watchdog=INT.  The same spec \
-     reproduces the identical fault sequence; rate 0.0 is fully inert.  \
-     Defaults to $(b,MDSIM_FAULTS) when set."
+     reproduces the identical fault sequence; rate 0.0 is fully inert."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
@@ -164,11 +163,6 @@ let fault_log_arg =
    machine exists: streams created without a plan are permanently
    inert. *)
 let start_faults spec_text =
-  let spec_text =
-    match spec_text with
-    | Some _ -> spec_text
-    | None -> Sys.getenv_opt "MDSIM_FAULTS"
-  in
   match spec_text with
   | None -> ()
   | Some text -> (
@@ -396,15 +390,6 @@ let build_system ~atoms ~seed ~density ~temperature =
 let print_result (r : Mdports.Run_result.t) =
   print_string (Mdports.Run_result.render_summary r)
 
-let runner_device = function
-  | `Opteron -> Mdckpt.Runner.Opteron
-  | `Cell -> Mdckpt.Runner.Cell
-  | `Cell1 -> Mdckpt.Runner.Cell1
-  | `Ppe -> Mdckpt.Runner.Ppe
-  | `Gpu -> Mdckpt.Runner.Gpu
-  | `Mta -> Mdckpt.Runner.Mta
-  | `Mta_partial -> Mdckpt.Runner.Mta_partial
-
 (* Segmented runs hold the checkpoint directory's single-writer guard
    for their whole lifetime (released by process exit): two runs
    checkpointing into the same directory would GC each other's
@@ -524,7 +509,6 @@ let run_cmd =
       in
       finish_outcome outcome
     | None ->
-      let system = build_system ~atoms ~seed ~density ~temperature in
       (match xyz_path with
       | Some path ->
         (* The timing ports integrate internal copies, so dump the
@@ -532,7 +516,9 @@ let run_cmd =
            suspended so this auxiliary run never reaches the telemetry
            stream. *)
         Mdtel.with_suspended (fun () ->
-            let traj_system = Mdcore.System.copy system in
+            let traj_system =
+              build_system ~atoms ~seed ~density ~temperature
+            in
             let frames = ref [] in
             ignore
               (Mdcore.Verlet.run traj_system
@@ -543,38 +529,15 @@ let run_cmd =
             Mdcore.Xyz.write_trajectory ~path ~frames:(List.rev !frames) ());
         Printf.printf "wrote %d frames to %s\n" (steps + 1) path
       | None -> ());
-      if every > 0 || deadline <> None then begin
-        let cfg =
-          { Mdckpt.Runner.cfg_device = runner_device device;
-            cfg_atoms = atoms; cfg_steps = steps; cfg_seed = seed;
-            cfg_density = density; cfg_temperature = temperature;
-            cfg_force_path = force_path;
-            cfg_every = every; cfg_keep = keep; cfg_dir = ckpt_dir }
-        in
-        finish_outcome
-          (or_unrecovered (fun () -> Mdckpt.Runner.run ?deadline cfg))
-      end
-      else begin
-        let result =
-          or_unrecovered (fun () ->
-              match device with
-              | `Opteron ->
-                Mdports.Opteron_port.run ~steps ~force_path system
-              | `Cell -> Mdports.Cell_port.run ~steps ~force_path system
-              | `Cell1 ->
-                Mdports.Cell_port.run ~steps ~force_path
-                  ~config:
-                    { Mdports.Cell_port.default_config with n_spes = 1 }
-                  system
-              | `Ppe -> Mdports.Cell_port.run_ppe_only ~steps system
-              | `Gpu -> Mdports.Gpu_port.run ~steps ~force_path system
-              | `Mta -> Mdports.Mta_port.run ~steps ~force_path system
-              | `Mta_partial ->
-                Mdports.Mta_port.run ~steps ~force_path
-                  ~mode:Mdports.Mta_port.Partially_multithreaded system)
-        in
-        finish_complete result
-      end
+      let cfg =
+        { Mdckpt.Runner.cfg_device = device;
+          cfg_atoms = atoms; cfg_steps = steps; cfg_seed = seed;
+          cfg_density = density; cfg_temperature = temperature;
+          cfg_force_path = force_path;
+          cfg_every = every; cfg_keep = keep; cfg_dir = ckpt_dir }
+      in
+      finish_outcome
+        (or_unrecovered (fun () -> Mdckpt.Runner.run ?deadline cfg))
   in
   let term =
     Term.(

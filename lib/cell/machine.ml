@@ -168,9 +168,6 @@ let charge_cycles ctx cycles =
 let charge_block ctx block ~iterations ~overlap =
   charge_cycles ctx (Isa.Spe_pipe.loop_cycles block ~iterations ~overlap)
 
-let dma_busy ctx = ctx.dma
-let compute_busy ctx = ctx.compute
-
 type launch_mode = Respawn | Persistent
 
 let offload t ~spes ~mode kernel =

@@ -57,9 +57,6 @@ val charge_block : spe_ctx -> Isa.Block.t -> iterations:int ->
   overlap:float -> unit
 (** Charge a basic block's estimated cycles via {!Isa.Spe_pipe}. *)
 
-val dma_busy : spe_ctx -> float
-val compute_busy : spe_ctx -> float
-
 (** {1 PPE-side operations} *)
 
 type launch_mode = Respawn | Persistent

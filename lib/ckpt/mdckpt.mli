@@ -189,6 +189,7 @@ module Runner : sig
   type device = Opteron | Cell | Cell1 | Ppe | Gpu | Mta | Mta_partial
 
   val device_name : device -> string
+  val all_devices : device list
   val device_of_name : string -> (device, string) result
 
   type config = {

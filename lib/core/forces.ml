@@ -71,6 +71,3 @@ let compute_newton3 (s : System.t) =
 
 let gather_engine =
   Engine.make ~name:"reference-gather" ~compute:compute_gather
-
-let newton3_engine =
-  Engine.make ~name:"reference-newton3" ~compute:compute_newton3

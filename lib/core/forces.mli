@@ -6,7 +6,7 @@
       pseudocode ("compute distance with all other N−1 atoms"), and the
       only shape expressible on the GPU/SPE/MTA ports.  Each pair is
       evaluated twice; the potential energy is halved accordingly.
-    - {!newton3_engine}: half the pairs with action–reaction — the
+    - {!compute_newton3}: half the pairs with action–reaction — the
       standard serial-CPU optimization, kept as an ablation to quantify
       what the gather formulation costs.
 
@@ -17,7 +17,6 @@
     the device ports — is tested against. *)
 
 val gather_engine : Engine.t
-val newton3_engine : Engine.t
 
 val compute_gather : System.t -> float
 val compute_newton3 : System.t -> float

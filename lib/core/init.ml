@@ -116,55 +116,6 @@ let relax system ~iterations ~max_step =
   done;
   System.clear_accelerations system
 
-let random_unit_step rng =
-  (* Marsaglia rejection: uniform direction on the sphere. *)
-  let rec draw () =
-    let x = Rng.uniform rng (-1.0) 1.0
-    and y = Rng.uniform rng (-1.0) 1.0
-    and z = Rng.uniform rng (-1.0) 1.0 in
-    let n2 = (x *. x) +. (y *. y) +. (z *. z) in
-    if n2 > 1.0 || n2 < 1e-6 then draw ()
-    else begin
-      let n = sqrt n2 in
-      Vecmath.Vec3.make (x /. n) (y /. n) (z /. n)
-    end
-  in
-  draw ()
-
-let build_chains ?(seed = 42) ?(density = 0.3) ?(temperature = 1.0)
-    ?(params = Params.default) ~n_chains ~length ~r0 () =
-  if n_chains <= 0 || length <= 0 then
-    invalid_arg "Init.build_chains: counts must be positive";
-  if r0 <= 0.0 then invalid_arg "Init.build_chains: r0 must be positive";
-  let n = n_chains * length in
-  let box = lattice_box ~n ~density in
-  let system = System.create ~n ~box ~params in
-  let rng = Rng.create seed in
-  (* Chain origins on a coarse cubic grid. *)
-  let m =
-    let rec fit c = if c * c * c >= n_chains then c else fit (c + 1) in
-    fit 1
-  in
-  let cell = box /. float_of_int m in
-  for c = 0 to n_chains - 1 do
-    let iz = c / (m * m) and iy = c / m mod m and ix = c mod m in
-    let origin =
-      Vecmath.Vec3.make
-        ((float_of_int ix +. 0.5) *. cell)
-        ((float_of_int iy +. 0.5) *. cell)
-        ((float_of_int iz +. 0.5) *. cell)
-    in
-    let pos = ref origin in
-    for k = 0 to length - 1 do
-      System.set_position system ((c * length) + k) !pos;
-      pos :=
-        Vecmath.Vec3.add !pos (Vecmath.Vec3.scale r0 (random_unit_step rng))
-    done
-  done;
-  relax system ~iterations:40 ~max_step:(0.05 *. params.Params.sigma);
-  maxwell_velocities system ~temperature (Rng.split rng);
-  system
-
 let build ?(seed = 42) ?(density = 0.8) ?(temperature = 1.0)
     ?(params = Params.default) ~n () =
   let box = lattice_box ~n ~density in

@@ -20,15 +20,6 @@ val build : ?seed:int -> ?density:float -> ?temperature:float ->
     violates the minimum-image criterion (i.e. [n] too small for the
     density/cutoff combination) or any parameter is nonpositive. *)
 
-val build_chains : ?seed:int -> ?density:float -> ?temperature:float ->
-  ?params:Params.t -> n_chains:int -> length:int -> r0:float -> unit ->
-  System.t
-(** A melt of bead–spring chains matching
-    {!Topology.linear_chains}'s chain-major atom numbering: chain origins
-    sit on a coarse lattice and each chain grows by random steps of
-    length [r0], then the configuration is relaxed and thermalized.
-    Density counts beads ([n_chains * length] atoms total). *)
-
 val maxwell_velocities : System.t -> temperature:float -> Sim_util.Rng.t ->
   unit
 (** Redraw all velocities at the given temperature and remove the net

@@ -29,8 +29,6 @@ let delta_search_branchless ~box dx =
   let needs_shift = if abs_float dx >= 0.5 *. box then 1.0 else 0.0 in
   dx -. (needs_shift *. Float.copy_sign box dx)
 
-let pair_delta ~box ~xi ~xj = delta ~box (xi -. xj)
-
 let dist2 ~box (a : Vecmath.Vec3.t) (b : Vecmath.Vec3.t) =
   let dx = delta ~box (a.x -. b.x)
   and dy = delta ~box (a.y -. b.y)

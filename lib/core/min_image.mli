@@ -27,8 +27,5 @@ val delta_search_branchless : box:float -> float -> float
     paper's first SPE optimization: shift by
     −copysign(box, dx) when |dx| > box/2. *)
 
-val pair_delta : box:float -> xi:float -> xj:float -> float
-(** Minimum-image [xi − xj] for wrapped coordinates. *)
-
 val dist2 : box:float -> Vecmath.Vec3.t -> Vecmath.Vec3.t -> float
 (** Squared minimum-image distance between two wrapped positions. *)

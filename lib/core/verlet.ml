@@ -69,7 +69,6 @@ let () =
 let installed_guard : guard option Atomic.t = Atomic.make None
 let install_guard g = Atomic.set installed_guard (Some g)
 let clear_guard () = Atomic.set installed_guard None
-let current_guard () = Atomic.get installed_guard
 
 (* Observation hooks: telemetry lives above mdcore (it depends on the
    ports' counters), so it registers closures here instead of being

@@ -70,7 +70,6 @@ val install_guard : guard -> unit
     starting runs. *)
 
 val clear_guard : unit -> unit
-val current_guard : unit -> guard option
 
 (** {1 Observation hooks}
 

@@ -123,9 +123,6 @@ let create_render_target t ~name ~texels =
   claim_vram t (texels * texel_bytes) name;
   { rt_name = name; pixels }
 
-let texture_size tex = Array.length tex.data
-let render_target_size rt = Array.length rt.pixels
-
 let transfer_seconds t ~bytes ~bandwidth =
   Units.transfer_seconds ~bytes ~bandwidth ~latency:t.cfg.transfer_latency
 
@@ -175,8 +172,6 @@ let release t bytes =
 
 let free_texture t tex = release t (Array.length tex.data * texel_bytes)
 let free_render_target t rt = release t (Array.length rt.pixels * texel_bytes)
-
-let texture_contents tex = Array.copy tex.data
 
 let resolve_to_texture t rt tex =
   if Array.length rt.pixels <> Array.length tex.data then

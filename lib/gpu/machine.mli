@@ -43,8 +43,6 @@ val create_texture : t -> name:string -> texels:int -> texture
 (** Raises [Invalid_argument] when VRAM would be exceeded. *)
 
 val create_render_target : t -> name:string -> texels:int -> render_target
-val texture_size : texture -> int
-val render_target_size : render_target -> int
 
 val upload : t -> texture -> Vecmath.Vec4f.t array -> unit
 (** Host-to-device copy: charges latency + bytes/upload-bandwidth.  The
@@ -59,12 +57,6 @@ val free_texture : t -> texture -> unit
     did not). *)
 
 val free_render_target : t -> render_target -> unit
-
-val texture_contents : texture -> Vecmath.Vec4f.t array
-(** Simulator introspection: a copy of the texture's current texels, free
-    of device charges.  Not part of the modelled 2006 API (real textures
-    were write-only from the host's perspective without a render pass) —
-    use it in tests and host-side mirrors only. *)
 
 val resolve_to_texture : t -> render_target -> texture -> unit
 (** Device-internal copy of a render target into a texture of the same

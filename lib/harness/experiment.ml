@@ -25,4 +25,3 @@ let check_band ~name band value =
 let check_pred ~name ~detail passed = { name; passed; detail }
 
 let all_passed o = List.for_all (fun c -> c.passed) o.checks
-let failed_checks o = List.filter (fun c -> not c.passed) o.checks

@@ -32,4 +32,3 @@ type t = {
 val check_band : name:string -> Paper_data.band -> float -> check
 val check_pred : name:string -> detail:string -> bool -> check
 val all_passed : outcome -> bool
-val failed_checks : outcome -> check list

@@ -54,10 +54,6 @@ let is_double_precision = function
   | Fadd_dp | Fmul_dp | Fmadd_dp | Fdiv_dp | Fsqrt_dp -> true
   | _ -> false
 
-let is_branch = function
-  | Branch_taken | Branch_not_taken | Branch_miss -> true
-  | _ -> false
-
 let flops = function
   | Fmadd | Fmadd_dp -> 2
   | Fadd | Fmul | Fadd_dp | Fmul_dp | Fdiv | Fdiv_dp | Fsqrt | Fsqrt_dp

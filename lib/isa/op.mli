@@ -40,7 +40,6 @@ type t =
 val to_string : t -> string
 
 val is_memory : t -> bool
-val is_branch : t -> bool
 val is_double_precision : t -> bool
 
 val flops : t -> int

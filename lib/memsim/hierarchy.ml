@@ -103,8 +103,6 @@ let access t addr =
   t.total_cycles <- t.total_cycles + cost;
   cost
 
-let l1_miss_rate t = Cache.miss_rate t.l1
-let l2_miss_rate t = Cache.miss_rate t.l2
 let accesses t = Cache.accesses t.l1
 let total_cycles t = t.total_cycles
 

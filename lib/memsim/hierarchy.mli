@@ -30,10 +30,6 @@ val access : t -> int -> int
     [addr], updating both levels (inclusive hierarchy: an L2 hit refills
     L1; a DRAM access refills both). *)
 
-val l1_miss_rate : t -> float
-val l2_miss_rate : t -> float
-(** L2 miss rate over L2 accesses (i.e., over L1 misses). *)
-
 val accesses : t -> int
 val total_cycles : t -> int
 (** Sum of all costs charged since creation or the last [reset]. *)

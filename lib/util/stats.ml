@@ -14,8 +14,6 @@ let variance xs =
     acc /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let minimum xs =
   require_nonempty "Stats.minimum" xs;
   Array.fold_left min xs.(0) xs

@@ -6,7 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 for arrays of length <2. *)
 
-val stddev : float array -> float
 val minimum : float array -> float
 val maximum : float array -> float
 

@@ -434,7 +434,17 @@ let test_runner_suspends_on_persistent_violation () =
       Alcotest.(check bool) "reason names the invariant" true
         (String.length s.Runner.sus_reason > 0);
       Alcotest.(check bool) "a durable generation exists" true
-        (Mdckpt.generations ~dir <> []))
+        (Mdckpt.generations ~dir <> []);
+      (* cfg_every = 0, the path of every plain [mdsim run]: the same
+         suspension, with nothing written. *)
+      let dir = fresh_dir () in
+      let s = suspended (Runner.run (cfg ~every:0 ~dir ())) in
+      Alcotest.(check bool) "unsegmented: reason names the invariant" true
+        (String.length s.Runner.sus_reason > 0);
+      Alcotest.(check bool) "unsegmented: no checkpoint path" true
+        (s.Runner.sus_path = None);
+      Alcotest.(check bool) "unsegmented: no generation written" true
+        (Mdckpt.generations ~dir = []))
 
 (* ------------------------------------------------------------------ *)
 (* Deadline supervision                                                *)

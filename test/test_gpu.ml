@@ -39,6 +39,14 @@ let test_vram_accounting () =
        false
      with Invalid_argument _ -> true)
 
+let test_free_releases_vram () =
+  let m = make_machine () in
+  let before = Machine.vram_used m in
+  let t = Machine.create_texture m ~name:"t" ~texels:1024 in
+  Alcotest.(check bool) "allocated" true (Machine.vram_used m > before);
+  Machine.free_texture m t;
+  Alcotest.(check int) "released" before (Machine.vram_used m)
+
 let test_texture_size_limit () =
   let m = make_machine () in
   Alcotest.(check bool) "over-limit texture rejected" true
@@ -183,6 +191,7 @@ let tests =
     [ Alcotest.test_case "config valid" `Quick test_config_valid;
       Alcotest.test_case "config invalid" `Quick test_config_invalid;
       Alcotest.test_case "vram accounting" `Quick test_vram_accounting;
+      Alcotest.test_case "free releases vram" `Quick test_free_releases_vram;
       Alcotest.test_case "texture size limit" `Quick test_texture_size_limit;
       Alcotest.test_case "upload/readback roundtrip" `Quick
         test_upload_readback_roundtrip;

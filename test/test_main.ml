@@ -13,9 +13,7 @@ let () =
       Test_parallel.tests;
       Test_obs.tests;
       Test_prof.tests;
-      Test_bonded.tests;
       Test_ports.tests;
-      Test_stream.tests;
       Test_seqalign.tests;
       Test_calibration.tests;
       Test_fault.tests;

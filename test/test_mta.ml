@@ -232,69 +232,6 @@ let test_charge_sync_ops_matches_single_ops () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- Parallel primitives ---------------- *)
-
-let test_par_reduce_sum () =
-  let m = Machine.create cfg in
-  let arr = Array.init 100 float_of_int in
-  let total =
-    Mta.Par.reduce m ~body ~f:( +. ) ~init:0.0 arr
-  in
-  Alcotest.(check (float 1e-9)) "sum 0..99" 4950.0 total;
-  Alcotest.(check bool) "charged" true (Machine.time m > 0.0)
-
-let test_par_reduce_max () =
-  let m = Machine.create cfg in
-  let arr = [| 3.0; 9.0; 1.0; 7.0; 9.5; 0.0 |] in
-  Alcotest.(check (float 0.0)) "max" 9.5
-    (Mta.Par.reduce m ~body ~f:Float.max ~init:neg_infinity arr)
-
-let test_par_reduce_empty () =
-  let m = Machine.create cfg in
-  Alcotest.(check (float 0.0)) "empty = init" 42.0
-    (Mta.Par.reduce m ~body ~f:( +. ) ~init:42.0 [||])
-
-let test_par_scan () =
-  let m = Machine.create cfg in
-  let arr = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  let scanned = Mta.Par.scan_inclusive m ~body ~f:( +. ) arr in
-  Alcotest.(check (array (float 1e-9))) "prefix sums"
-    [| 1.0; 3.0; 6.0; 10.0; 15.0 |] scanned
-
-let test_par_atomic_sum_matches_reduce () =
-  let arr = Array.init 64 (fun i -> float_of_int i *. 0.5) in
-  let m1 = Machine.create cfg and m2 = Machine.create cfg in
-  let a = Mta.Par.atomic_sum m1 arr in
-  let r = Mta.Par.reduce m2 ~body ~f:( +. ) ~init:0.0 arr in
-  Alcotest.(check (float 1e-9)) "same result" r a;
-  Alcotest.(check bool) "atomic strategy pays more sync" true
-    (Ledger.get (Machine.ledger m1) Ledger.Sync
-    > Ledger.get (Machine.ledger m2) Ledger.Sync)
-
-let test_par_map () =
-  let m = Machine.create cfg in
-  let out = Mta.Par.parallel_map m ~body ~f:(fun i -> float_of_int (i * i)) 6 in
-  Alcotest.(check (array (float 0.0))) "squares"
-    [| 0.0; 1.0; 4.0; 9.0; 16.0; 25.0 |] out
-
-let test_work_queue_drains_all () =
-  let m = Machine.create cfg in
-  let q = Mta.Par.Work_queue.create m ~n:25 in
-  let seen = Array.make 25 0 in
-  let count = Mta.Par.Work_queue.drain q ~f:(fun t -> seen.(t) <- seen.(t) + 1) in
-  Alcotest.(check int) "all tasks" 25 count;
-  Array.iter (fun c -> Alcotest.(check int) "each exactly once" 1 c) seen;
-  Alcotest.(check bool) "further steals return None" true
-    (Mta.Par.Work_queue.steal q = None);
-  Alcotest.(check bool) "steals charged as sync ops" true
-    (Ledger.get (Machine.ledger m) Ledger.Sync > 0.0)
-
-let test_work_queue_empty () =
-  let m = Machine.create cfg in
-  let q = Mta.Par.Work_queue.create m ~n:0 in
-  Alcotest.(check bool) "empty queue" true
-    (Mta.Par.Work_queue.steal q = None)
-
 let tests =
   ( "mta",
     [ Alcotest.test_case "config defaults" `Quick test_config_defaults;
@@ -323,16 +260,6 @@ let tests =
       Alcotest.test_case "sync charges time" `Quick test_sync_charges_time;
       Alcotest.test_case "sync cheaper in parallel region" `Quick
         test_sync_cheaper_inside_parallel_region;
-      Alcotest.test_case "par reduce sum" `Quick test_par_reduce_sum;
-      Alcotest.test_case "par reduce max" `Quick test_par_reduce_max;
-      Alcotest.test_case "par reduce empty" `Quick test_par_reduce_empty;
-      Alcotest.test_case "par scan" `Quick test_par_scan;
-      Alcotest.test_case "atomic sum vs reduce" `Quick
-        test_par_atomic_sum_matches_reduce;
-      Alcotest.test_case "par map" `Quick test_par_map;
-      Alcotest.test_case "work queue drains" `Quick
-        test_work_queue_drains_all;
-      Alcotest.test_case "work queue empty" `Quick test_work_queue_empty;
       Alcotest.test_case "batched sync charge = single ops" `Quick
         test_charge_sync_ops_matches_single_ops
     ] )
