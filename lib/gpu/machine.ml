@@ -222,6 +222,20 @@ let sample s ~input i =
     texture_flip s tex i v
   else v
 
+let texels s ~input ~lo ~hi ~fetches =
+  if not (Mdfault.inert s.ft_texture) then [||]
+  else begin
+    if input < 0 || input >= Array.length s.bound then
+      invalid_arg "Gpustream.texels: input slot out of range";
+    let tex = s.bound.(input) in
+    if lo <= hi && (lo < 0 || hi >= Array.length tex.data) then
+      invalid_arg
+        (Printf.sprintf "Gpustream.texels: texels %d..%d out of range for %s"
+           lo hi tex.tex_name);
+    s.fetched <- s.fetched + fetches;
+    tex.data
+  end
+
 let compile t ~name ~body ~prologue =
   charge t Setup t.cfg.jit_seconds;
   { shader_name = name; body; prologue }

@@ -73,6 +73,19 @@ val sample : sampler -> input:int -> int -> Vecmath.Vec4f.t
 (** [sample s ~input i] reads texel [i] of the [input]-th bound texture.
     Raises if the slot or index is out of range. *)
 
+val texels :
+  sampler -> input:int -> lo:int -> hi:int -> fetches:int ->
+  Vecmath.Vec4f.t array
+(** Bulk fetches for a shader that reads the [input]-th bound texture's
+    store itself instead of calling {!sample} per texel.  While the
+    texture fault stream is inert it checks the slot and texels
+    [lo..hi] as {!sample} would (no texel when [hi < lo]; the caller
+    bounds-checks any other texel it reads), adds [fetches] to the
+    sampler's fetch count, and returns the store, which the caller must
+    not modify.  While the stream is live it checks and counts nothing
+    and returns [[||]]: every fetch must then go through {!sample}, so
+    the fault draws replay. *)
+
 val compile : t -> name:string -> body:Isa.Block.t ->
   prologue:Isa.Block.t -> shader
 (** JIT a shader: [body] is the instruction stream of the shader's inner

@@ -43,10 +43,11 @@ let pair_terms p r2 =
   end
   else None
 
-(* The gather loop below repeats the arithmetic of [min_image], [r2] and
-   [pair_terms] (which stay the tested reference) through local inline
-   helpers: a call into [F32] from another compilation unit is out of
-   line and boxes its float result, once per rounding. *)
+(* The fault-replaying texture row below repeats the arithmetic of
+   [min_image], [r2] and [pair_terms] (which stay the tested reference)
+   through local inline helpers: a call into [F32] from another
+   compilation unit is out of line and boxes its float result, once per
+   rounding. *)
 
 let[@inline] round x = Int32.float_of_bits (Int32.bits_of_float x)
 
@@ -91,50 +92,88 @@ type source =
 
 type partners = All of int | Rows of int array array
 
-let gather p acc src partners i =
+(* The row kernel of f32_kernel_stubs.c: [pair]'s arithmetic in native
+   binary32, bit for bit.  Each returns the row's interaction count, or
+   -1 when the own index or a partner lies outside the position store
+   (the [Staged] block's streams, or the texels). *)
+external staged_rows : params -> acc -> source -> int array -> int -> int
+  = "mdports_f32_staged_rows" [@@noalloc]
+
+external staged_all : params -> acc -> source -> int -> int -> int
+  = "mdports_f32_staged_all" [@@noalloc]
+
+external texels_rows :
+  params -> acc -> Vec4f.t array -> int array -> int -> int
+  = "mdports_f32_texels_rows" [@@noalloc]
+
+external texels_all : params -> acc -> Vec4f.t array -> int -> int -> int
+  = "mdports_f32_texels_all" [@@noalloc]
+
+let checked hits =
+  if hits < 0 then invalid_arg "F32_kernel.gather: index out of range";
+  hits
+
+(* A texture row fetch by fetch while the texture fault stream is live:
+   each [Machine.sample] may draw a bit flip, so the fetches keep the
+   fragment's order — own texel, row descriptor once, then per entry
+   the index texel before the partner's position texel. *)
+let sampled p acc s starts partners i =
   acc.ax <- 0.0;
   acc.ay <- 0.0;
   acc.az <- 0.0;
   acc.pe <- 0.0;
-  let xi = ref 0.0 and yi = ref 0.0 and zi = ref 0.0 in
-  (match src with
-  | Staged (px, py, pz) ->
-    xi := px.{i};
-    yi := py.{i};
-    zi := pz.{i}
-  | Texture (s, _) ->
-    let own = Machine.sample s ~input:0 i in
-    xi := own.Vec4f.a;
-    yi := own.Vec4f.b;
-    zi := own.Vec4f.c;
-    (match partners with
-    | Rows _ -> ignore (Machine.sample s ~input:1 i)
-    | All _ -> ()));
-  let xi = !xi and yi = !yi and zi = !zi in
-  let row = match partners with All _ -> [||] | Rows rows -> rows.(i) in
-  let len = match partners with All n -> n | Rows _ -> Array.length row in
-  let start =
-    match (src, partners) with
-    | Texture (_, starts), Rows _ -> starts.(i)
-    | _ -> 0
+  let own = Machine.sample s ~input:0 i in
+  let xi = own.Vec4f.a and yi = own.Vec4f.b and zi = own.Vec4f.c in
+  let row =
+    match partners with
+    | All _ -> [||]
+    | Rows rows ->
+      ignore (Machine.sample s ~input:1 i);
+      rows.(i)
   in
+  let len = match partners with All n -> n | Rows _ -> Array.length row in
+  let start = match partners with All _ -> 0 | Rows _ -> starts.(i) in
   let hits = ref 0 in
   for k = 0 to len - 1 do
-    let j = match partners with All _ -> k | Rows _ -> row.(k) in
-    match src with
-    | Staged (px, py, pz) ->
-      hits :=
-        !hits
-        + pair p acc (round (xi -. px.{j})) (round (yi -. py.{j}))
-            (round (zi -. pz.{j}))
-    | Texture (s, _) ->
-      (match partners with
-      | Rows _ -> ignore (Machine.sample s ~input:2 ((start + k) lsr 2))
-      | All _ -> ());
-      let v = Machine.sample s ~input:0 j in
-      hits :=
-        !hits
-        + pair p acc (round (xi -. v.Vec4f.a)) (round (yi -. v.Vec4f.b))
-            (round (zi -. v.Vec4f.c))
+    let j =
+      match partners with
+      | All _ -> k
+      | Rows _ ->
+        ignore (Machine.sample s ~input:2 ((start + k) lsr 2));
+        row.(k)
+    in
+    let v = Machine.sample s ~input:0 j in
+    hits :=
+      !hits
+      + pair p acc (round (xi -. v.Vec4f.a)) (round (yi -. v.Vec4f.b))
+          (round (zi -. v.Vec4f.c))
   done;
   !hits
+
+(* A texture row's fetches in closed form: the own texel, plus for a
+   list row its descriptor and per entry one index texel (four indices
+   per texel) and one position texel; for the sweep, n position
+   texels.  [Machine.texels] makes the range checks [Machine.sample]
+   would, once per row; the kernel checks each partner. *)
+let gather p acc src partners i =
+  match (src, partners) with
+  | Staged _, All n -> checked (staged_all p acc src n i)
+  | Staged _, Rows rows -> checked (staged_rows p acc src rows.(i) i)
+  | Texture (s, starts), All n ->
+    let store = Machine.texels s ~input:0 ~lo:i ~hi:i ~fetches:(1 + n) in
+    if Array.length store = 0 then sampled p acc s starts partners i
+    else checked (texels_all p acc store n i)
+  | Texture (s, starts), Rows rows ->
+    let row = rows.(i) in
+    let len = Array.length row in
+    let store = Machine.texels s ~input:0 ~lo:i ~hi:i ~fetches:(1 + len) in
+    if Array.length store = 0 then sampled p acc s starts partners i
+    else begin
+      ignore (Machine.texels s ~input:1 ~lo:i ~hi:i ~fetches:1);
+      let start = starts.(i) in
+      if len > 0 then
+        ignore
+          (Machine.texels s ~input:2 ~lo:(start lsr 2)
+             ~hi:((start + len - 1) lsr 2) ~fetches:len);
+      checked (texels_rows p acc store row i)
+    end

@@ -420,6 +420,242 @@ let test_gpu_texture_faults_replay_across_pools () =
   Alcotest.(check string) "same fault log" log1 log4;
   check_same_bits "gpu with texture faults, 1 vs 4 domains" bits1 bits4
 
+(* ---------------- The native row kernel ---------------- *)
+
+let f32_succ x = Int32.float_of_bits (Int32.succ (Int32.bits_of_float x))
+let f32_pred x = Int32.float_of_bits (Int32.pred (Int32.bits_of_float x))
+
+let staged_of_list coords : System.f32buf * System.f32buf * System.f32buf =
+  let n = List.length coords in
+  let px = System.create_f32buf n
+  and py = System.create_f32buf n
+  and pz = System.create_f32buf n in
+  List.iteri
+    (fun i (x, y, z) ->
+      px.{i} <- x;
+      py.{i} <- y;
+      pz.{i} <- z)
+    coords;
+  (px, py, pz)
+
+(* A GPU with the three textures the list shader binds: positions
+   (input 0), [descriptors] row descriptors (input 1, default one per
+   atom) and [index_texels] packed index texels (input 2).  Applied to
+   [f], it runs one serial dispatch calling [f sampler i] per row. *)
+let texture_rig ?(index_texels = 1) ?descriptors (px, py, pz) =
+  let n = Bigarray.Array1.dim px in
+  let m = Gm.create Gpustream.Config.geforce_7900gtx in
+  let positions = Gm.create_texture m ~name:"positions" ~texels:n in
+  Gm.upload m positions
+    (Array.init n (fun i -> Vec4f.make px.{i} py.{i} pz.{i} 0.0));
+  let descriptors = Option.value descriptors ~default:n in
+  let inputs =
+    [ positions;
+      Gm.create_texture m ~name:"rows" ~texels:descriptors;
+      Gm.create_texture m ~name:"indices" ~texels:index_texels ]
+  in
+  let target = Gm.create_render_target m ~name:"out" ~texels:n in
+  let shader =
+    Gm.compile m ~name:"gather" ~body:Mdports.Kernels.gpu_candidate
+      ~prologue:Mdports.Kernels.gpu_fragment_prologue
+  in
+  fun f ->
+    Gm.dispatch m shader ~inputs ~target
+      ~f:(fun sampler i ->
+        f sampler i;
+        Vec4f.zero)
+      ()
+
+(* Every row of [partners] through the kernel, from the staged streams
+   and from position texels, equals the reference bit for bit (NaN and
+   infinite sums included); returns the rows' hit counts. *)
+let kernel_matches_reference name p staged partners =
+  let px, py, pz = staged in
+  let n = Bigarray.Array1.dim px in
+  let row i =
+    match partners with
+    | F32k.All n -> Array.init n Fun.id
+    | F32k.Rows rows -> rows.(i)
+  in
+  let expect = Array.init n (fun i -> f32_reference p staged (row i) i) in
+  let acc = F32k.acc () in
+  let check what i h =
+    let ax, ay, az, pe, hits = expect.(i) in
+    let same = Test_mdcore.same_bits in
+    if not (h = hits && same acc.F32k.ax ax && same acc.F32k.ay ay
+            && same acc.F32k.az az && same acc.F32k.pe pe)
+    then
+      Alcotest.failf "%s, %s: row %d gives %d hits (%h %h %h %h), reference \
+                      %d (%h %h %h %h)"
+        name what i h acc.F32k.ax acc.F32k.ay acc.F32k.az acc.F32k.pe hits
+        ax ay az pe
+  in
+  let src = F32k.Staged (px, py, pz) in
+  for i = 0 to n - 1 do
+    check "staged" i (F32k.gather p acc src partners i)
+  done;
+  let rows = match partners with F32k.Rows r -> r | F32k.All _ -> [||] in
+  let entries = Array.fold_left (fun a r -> a + Array.length r) 0 rows in
+  let starts = row_starts rows in
+  texture_rig ~index_texels:(max 1 ((entries + 3) / 4)) staged
+    (fun sampler i ->
+      check "texture" i
+        (F32k.gather p acc (F32k.Texture (sampler, starts)) partners i));
+  Array.map (fun (_, _, _, _, hits) -> hits) expect
+
+(* Adversarial binary32 inputs for the native row kernel, against the
+   [min_image]/[r2]/[pair_terms] reference.  The edge set puts three
+   coincident atoms (r2 = 0) at one point, each with a one-entry row to
+   a partner at r2 one ulp below rc2, exactly rc2, and one ulp above;
+   atoms at 0, one binary32 ulp below the box on every axis, and at
+   [Float.pred box] staged to binary32 (which rounds up to the box; the
+   minimum-image selects); and a pair 1e-4 apart, whose s12 overflows
+   to infinity and whose zero x difference turns the x sum into NaN.
+   Rows cover lengths 0, 1 and n - 1.  The jittered set is atoms pushed
+   into overlap, as in the pool test above, with the full N² rows. *)
+let test_f32_kernel_adversarial () =
+  let base = sys () in
+  let p = F32k.of_system base in
+  let box = p.F32k.box in
+  let top = f32_pred box in
+  let x0 = F32.round (0.3 *. box)
+  and y0 = F32.round (0.4 *. box)
+  and z0 = F32.round (0.5 *. box) in
+  let r2_to (x, y, z) =
+    F32k.r2 p
+      ~dx:(F32k.min_image p (F32.sub x0 x))
+      ~dy:(F32k.min_image p (F32.sub y0 y))
+      ~dz:(F32k.min_image p (F32.sub z0 z))
+  in
+  (* a partner of (x0, y0, z0) at exactly [target]: step x by ulps
+     around the cutoff and y by multiples of 2^-13 (exact sums) *)
+  let at target =
+    let rec step f x k = if k = 0 then x else step f (f x) (k - 1) in
+    let x_low = step f32_pred (F32.round (x0 +. sqrt p.F32k.rc2)) 32 in
+    let found = ref None in
+    for k = 0 to 64 do
+      for m = 0 to 32 do
+        let c =
+          (step f32_succ x_low k,
+           F32.add y0 (Float.ldexp (float_of_int m) (-13)), z0)
+        in
+        if !found = None && r2_to c = target then found := Some c
+      done
+    done;
+    match !found with
+    | Some c -> c
+    | None -> Alcotest.failf "no partner at r2 = %h" target
+  in
+  let rc2 = p.F32k.rc2 in
+  let close = F32.add x0 1e-4 in
+  let staged_top = F32.round (Float.pred base.System.box) in
+  let edge =
+    [ (x0, y0, z0); (x0, y0, z0); (x0, y0, z0);
+      at (f32_pred rc2); at rc2; at (f32_succ rc2);
+      (0.0, 0.0, 0.0); (top, top, top); (0.0, top, 0.0); (top, 0.0, top);
+      (x0, 0.0, top); (0.0, y0, top); (staged_top, staged_top, 0.0);
+      (close, y0, z0); (close, F32.add y0 1e-4, z0) ]
+  in
+  let ((ex, ey, ez) as edge_staged) = staged_of_list edge in
+  let n = List.length edge in
+  let all_but i = Array.of_list (List.filter (( <> ) i) (List.init n Fun.id)) in
+  let rows =
+    Array.init n (fun i ->
+        match i with
+        | 0 -> [| 3 |]
+        | 1 -> [| 4 |]
+        | 2 -> [| 5 |]
+        | 6 -> [||]
+        | 7 -> [| 6 |]
+        | _ -> all_but i)
+  in
+  let hits = kernel_matches_reference "edge rows" p edge_staged (F32k.Rows rows) in
+  Alcotest.(check (list int)) "one ulp below rc2 interacts, rc2 and above do not"
+    [ 1; 0; 0 ] [ hits.(0); hits.(1); hits.(2) ];
+  ignore (kernel_matches_reference "edge N²" p edge_staged (F32k.All n));
+  let acc = F32k.acc () in
+  ignore (F32k.gather p acc (F32k.Staged (ex, ey, ez)) (F32k.Rows rows) 13);
+  Alcotest.(check bool) "overflowing pair: x sum is NaN" true
+    (Float.is_nan acc.F32k.ax);
+  let s = System.copy base in
+  Init.jitter_positions s ~magnitude:0.6 (Sim_util.Rng.create 17);
+  ignore
+    (kernel_matches_reference "jittered N²" p (System.stage_positions_f32 s)
+       (F32k.All s.System.n))
+
+(* The kernel reads no position outside its store: an out-of-range own
+   index, list partner, N² sweep length, row descriptor or index texel
+   raises [Invalid_argument], from the staged streams and from texels,
+   as the per-fetch OCaml loop did. *)
+let test_f32_kernel_rejects_out_of_range () =
+  let s = sys () in
+  let n = s.System.n in
+  let p = F32k.of_system s in
+  let ((px, py, pz) as staged) = System.stage_positions_f32 s in
+  let acc = F32k.acc () in
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+  in
+  let rows_with partner = Array.init n (fun _ -> [| 1; partner |]) in
+  let staged_cases =
+    [ ("own index", F32k.All n, n);
+      ("negative own index", F32k.All n, -1);
+      ("sweep past the store", F32k.All (n + 1), 0);
+      ("partner past the store", F32k.Rows (rows_with n), 0);
+      ("negative partner", F32k.Rows (rows_with (-1)), 0) ]
+  in
+  List.iter
+    (fun (what, partners, i) ->
+      raises ("staged, " ^ what) (fun () ->
+          F32k.gather p acc (F32k.Staged (px, py, pz)) partners i))
+    staged_cases;
+  let entries = 2 * n in
+  let texture what ?index_texels ?descriptors partners starts i =
+    raises ("texture, " ^ what) (fun () ->
+        texture_rig
+          ~index_texels:(Option.value index_texels ~default:((entries + 3) / 4))
+          ?descriptors staged
+          (fun sampler _ ->
+            ignore
+              (F32k.gather p acc (F32k.Texture (sampler, starts)) partners i)))
+  in
+  let starts = Array.init n (fun i -> 2 * i) in
+  List.iter
+    (fun (what, partners, i) -> texture what partners starts i)
+    staged_cases;
+  texture "row descriptor" ~descriptors:1 (F32k.Rows (rows_with 2)) starts 1;
+  texture "index texel" ~index_texels:1 (F32k.Rows (rows_with 2)) starts 4
+
+(* A live texture fault stream that never fires takes the fetch-by-fetch
+   OCaml row; an inert one takes the native kernel with the closed-form
+   fetch count.  Both must leave the same bits — sums, trajectories,
+   metrics, counters and [gpu/texture_fetches] — on the list rows and on
+   the N² sweep. *)
+let test_gpu_quiet_live_stream_matches_inert () =
+  let s = Init.build ~seed:23 ~n:864 () in
+  List.iter
+    (fun (name, force_path) ->
+      let run () = run_bits (fun s -> Gpu.run ~steps:2 ~force_path s) s in
+      let inert = run () in
+      let live =
+        match Mdfault.parse_spec "gpu-texture:1e-300,seed=3" with
+        | Error msg -> Alcotest.fail msg
+        | Ok spec ->
+          Mdfault.install spec;
+          Fun.protect ~finally:Mdfault.uninstall (fun () ->
+              Alcotest.(check bool) "stream live" false
+                (Mdfault.inert (Mdfault.stream Mdfault.Gpu_texture "probe"));
+              let bits = run () in
+              Alcotest.(check int) "nothing injected" 0
+                (Mdfault.summary ()).Mdfault.injected;
+              bits)
+      in
+      check_same_bits (name ^ ": quiet live stream vs inert") inert live)
+    [ ("rows", Mdports.Force_path.default);
+      ("N²", Mdports.Force_path.brute) ]
+
 let test_f32_matches_double_reference () =
   let s_ref = sys () in
   let s_f32 = System.copy s_ref in
@@ -887,5 +1123,11 @@ let tests =
       Alcotest.test_case "gather ports pool-invariant" `Quick
         test_gather_ports_pool_invariant;
       Alcotest.test_case "gpu texture faults replay across pools" `Quick
-        test_gpu_texture_faults_replay_across_pools
+        test_gpu_texture_faults_replay_across_pools;
+      Alcotest.test_case "f32 kernel = reference, adversarial" `Quick
+        test_f32_kernel_adversarial;
+      Alcotest.test_case "f32 kernel rejects out-of-range" `Quick
+        test_f32_kernel_rejects_out_of_range;
+      Alcotest.test_case "gpu quiet live stream = inert" `Quick
+        test_gpu_quiet_live_stream_matches_inert
     ] )
