@@ -17,8 +17,10 @@ let run ctx =
       (fun n ->
         let system = Context.system_of ctx ~n in
         let old_gpu = Context.gpu_seconds_of ctx ~n in
+        (* The N² shader, as in the 7900GTX and Opteron baselines. *)
         let next =
-          (Gpu.run ~steps ~machine:Gpustream.Config.geforce_8800_like system)
+          (Gpu.run ~steps ~machine:Gpustream.Config.geforce_8800_like
+             ~force_path:Mdports.Force_path.brute system)
             .Mdports.Run_result.seconds
         in
         let opteron = Context.opteron_seconds_of ctx ~n in

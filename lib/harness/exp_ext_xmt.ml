@@ -15,8 +15,10 @@ let run ctx =
   let scale = Context.scale ctx in
   let system = Context.system ctx in
   let steps = scale.Context.steps in
+  (* The N² kernel, as in its Opteron baseline ([Context.opteron]). *)
   let seconds machine =
-    (Port.run ~steps ~machine system).Mdports.Run_result.seconds
+    (Port.run ~steps ~machine ~force_path:Mdports.Force_path.brute system)
+      .Mdports.Run_result.seconds
   in
   let mta2 = seconds (Mta_config.mta2 ()) in
   let configs =
