@@ -68,6 +68,12 @@ val gather : params -> acc -> source -> partners -> int -> int
 (** [gather p acc src partners i] runs atom [i]'s row and returns its
     interaction count, leaving the row's sums in [acc].  Per partner it
     is exactly [min_image] on each rounded coordinate difference, {!r2},
-    then {!pair_terms}, accumulated in partner order with binary32 adds.
-    [All] includes [j = i], which the [r2 > 0] test excludes, as the
-    GPU shader's does.  Allocates nothing per partner. *)
+    then {!pair_terms}, accumulated in partner order with binary32 adds;
+    a C kernel computes the row in native binary32, which gives the
+    same bits.  While the texture fault stream is live a [Texture] row
+    instead fetches texel by texel through {!Gpustream.Machine.sample},
+    so fault draws replay; both count the same texture fetches.  [All]
+    includes [j = i], which the [r2 > 0] test excludes, as the GPU
+    shader's does.  Raises [Invalid_argument] when [i], a partner or the
+    [All] length lies outside the positions.  Allocates nothing per
+    partner. *)
