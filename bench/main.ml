@@ -207,7 +207,9 @@ let test_ablation_skin =
     Test.make
       ~name:(Printf.sprintf "opteron-skin-%.1f" skin)
       (Staged.stage (fun () ->
-           Mdports.Opteron_port.run_pairlist ~steps:2 ~skin sys))
+           Mdports.Opteron_port.run ~steps:2
+             ~force_path:(Mdports.Force_path.pairlist ~skin ())
+             sys))
   in
   Test.make_grouped ~name:"ablation-skin"
     [ make_skin 0.2; make_skin 0.4; make_skin 0.8 ]

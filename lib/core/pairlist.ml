@@ -63,6 +63,7 @@ type t = {
      [full_gen] records which build they match. *)
   mutable full : int array array;
   mutable full_gen : int;
+  full_hits : int array;  (* per-row hits of [compute_full_stats] *)
   ref_x : System.buf;  (* positions at last build *)
   ref_y : System.buf;
   ref_z : System.buf;
@@ -147,6 +148,7 @@ let make ~instrumented ~skin ?pool (s : System.t) =
     neighbours = Array.make s.System.n [||];
     full = [||];
     full_gen = -1;
+    full_hits = Array.make s.System.n 0;
     ref_x = System.create_buf s.System.n;
     ref_y = System.create_buf s.System.n;
     ref_z = System.create_buf s.System.n;
@@ -473,44 +475,60 @@ let compute t (s : System.t) =
     !pe
   end
 
-(* Serial double-precision gather over the full rows — bit-identical to
-   [Forces.compute_gather_stats]: hits arrive per row in the same
-   ascending-j order, and pairs the list omits are exactly those beyond
-   cutoff+skin, which contribute nothing to the O(N²) sums. *)
-let compute_full_stats t (s : System.t) =
-  if s != t.system then
-    invalid_arg "Pairlist: engine used with a different system";
-  if needs_rebuild t then build t;
-  let full = full_rows t in
+type partners = All of int | Rows of int array array
+
+(* The double-precision row gather, bit-identical to
+   [Forces.compute_gather_stats]: each row's hits arrive in ascending-j
+   order, and the pairs a list omits lie beyond cutoff+skin, which add
+   nothing to the O(N²) sums.  PE is one running sum over every pair
+   potential, in row-then-partner order.  One pair body serves both
+   partner sets; [sweep] is -1 for list rows. *)
+let gather (s : System.t) partners ~row_hits =
   let { System.n; pos_x; pos_y; pos_z; acc_x; acc_y; acc_z; _ } = s in
   let k = terms s in
+  let sweep = match partners with All m -> m | Rows _ -> -1 in
+  let rows = match partners with Rows rows -> rows | All _ -> [||] in
   let pe2 = ref 0.0 and hits = ref 0 in
   for i = 0 to n - 1 do
     let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-    let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-    let row = full.(i) in
-    for m = 0 to Array.length row - 1 do
-      let j = row.(m) in
-      let dx = delta k.box (xi -. pos_x.{j})
-      and dy = delta k.box (yi -. pos_y.{j})
-      and dz = delta k.box (zi -. pos_z.{j}) in
-      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-      if r2 < k.rc2 then begin
-        let s6 = s6 k r2 in
-        let f_over_r = force_over_r k s6 r2 in
-        fx := !fx +. (f_over_r *. dx);
-        fy := !fy +. (f_over_r *. dy);
-        fz := !fz +. (f_over_r *. dz);
-        pe2 := !pe2 +. potential k s6;
-        incr hits
+    let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 and row_n = ref 0 in
+    let row = if sweep < 0 then rows.(i) else [||] in
+    let len = if sweep < 0 then Array.length row else sweep in
+    for m = 0 to len - 1 do
+      let j = if sweep < 0 then row.(m) else m in
+      if j <> i then begin
+        let dx = delta k.box (xi -. pos_x.{j})
+        and dy = delta k.box (yi -. pos_y.{j})
+        and dz = delta k.box (zi -. pos_z.{j}) in
+        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+        if r2 < k.rc2 then begin
+          let s6 = s6 k r2 in
+          let f_over_r = force_over_r k s6 r2 in
+          fx := !fx +. (f_over_r *. dx);
+          fy := !fy +. (f_over_r *. dy);
+          fz := !fz +. (f_over_r *. dz);
+          pe2 := !pe2 +. potential k s6;
+          incr row_n
+        end
       end
     done;
     acc_x.{i} <- !fx *. k.inv_mass;
     acc_y.{i} <- !fy *. k.inv_mass;
-    acc_z.{i} <- !fz *. k.inv_mass
+    acc_z.{i} <- !fz *. k.inv_mass;
+    row_hits.(i) <- !row_n;
+    hits := !hits + !row_n
   done;
-  t.last_hits <- !hits;
   (0.5 *. !pe2, !hits)
+
+let compute_full_stats t (s : System.t) =
+  if s != t.system then
+    invalid_arg "Pairlist: engine used with a different system";
+  if needs_rebuild t then build t;
+  let ((_, hits) as stats) =
+    gather s (Rows (full_rows t)) ~row_hits:t.full_hits
+  in
+  t.last_hits <- hits;
+  stats
 
 let engine t = Engine.make ~name:"pairlist" ~compute:(compute t)
 

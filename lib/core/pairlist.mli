@@ -94,10 +94,24 @@ val full_rows : t -> int array array
 val full_entry_count : t -> int
 (** Total entries across {!full_rows} (= 2 × {!neighbour_count}). *)
 
+type partners =
+  | All of int  (** the N² sweep: every atom below n *)
+  | Rows of int array array  (** full neighbour-list rows *)
+
+val gather : System.t -> partners -> row_hits:int array -> float * int
+(** The double-precision row gather: for every atom [i] of the system,
+    sum the LJ terms over its partners into [acc_*], write the row's
+    in-cutoff count to [row_hits.(i)], and return (PE, ordered-pair hit
+    count).  [All n] sweeps every [j <> i] below [n]; [Rows] walks each
+    row's stored partners.  Bit-identical to
+    [Forces.compute_gather_stats] on the same positions, with [All n] or
+    with the {!full_rows} of a list current for them.  Raises [Invalid_argument] when a partner or the [All]
+    length lies outside the positions, or when [Rows] or [row_hits] has
+    fewer than n entries.  Allocates nothing per pair. *)
+
 val compute_full_stats : t -> System.t -> float * int
-(** Serial double-precision gather over {!full_rows}: (PE, ordered-pair
-    hit count), bit-identical to [Forces.compute_gather_stats] on the
-    same positions.  Rebuilds first if the drift trigger demands it. *)
+(** {!gather} over this list's {!full_rows} (per-row hits into a buffer
+    the list owns).  Rebuilds first if the drift trigger demands it. *)
 
 val rebuild_count : t -> int
 (** Number of list constructions so far (tests assert the every-few-steps

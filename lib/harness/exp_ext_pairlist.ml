@@ -21,7 +21,11 @@ let run ctx =
       (fun n ->
         let system = Context.system_of ctx ~n in
         let n2 = Context.opteron_seconds_of ctx ~n in
-        let pl = (Opteron.run_pairlist ~steps system).Mdports.Run_result.seconds in
+        let pl =
+          (Opteron.run ~steps ~force_path:(Mdports.Force_path.pairlist ())
+             system)
+            .Mdports.Run_result.seconds
+        in
         (n, n2, pl))
       sizes
   in

@@ -63,89 +63,6 @@ let f32_compute_over ~pe_rows partners ~row_hits (s : Mdcore.System.t) =
   done;
   0.5 *. !pe2
 
-let f32_compute ~pe_rows ~row_hits (s : Mdcore.System.t) =
-  f32_compute_over ~pe_rows (F32_kernel.All s.Mdcore.System.n) ~row_hits s
-
-(* Double-precision row gather with per-row hit recording — the physics of
-   the hypothetical DP port (identical to the reference kernel; recorded
-   separately so profiles carry per-row interaction counts). *)
-let dp_compute ~row_hits (s : Mdcore.System.t) =
-  let { Mdcore.System.n; box; params; pos_x; pos_y; pos_z;
-        acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Mdcore.Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Mdcore.Params.mass in
-  let pe2 = ref 0.0 in
-  for i = 0 to n - 1 do
-    let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-    let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-    let hits = ref 0 in
-    for j = 0 to n - 1 do
-      if j <> i then begin
-        let dx = Mdcore.Min_image.delta ~box (xi -. pos_x.{j})
-        and dy = Mdcore.Min_image.delta ~box (yi -. pos_y.{j})
-        and dz = Mdcore.Min_image.delta ~box (zi -. pos_z.{j}) in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-        if r2 < rc2 then begin
-          let f_over_r = Mdcore.Params.lj_force_over_r params r2 in
-          fx := !fx +. (f_over_r *. dx);
-          fy := !fy +. (f_over_r *. dy);
-          fz := !fz +. (f_over_r *. dz);
-          pe2 := !pe2 +. Mdcore.Params.lj_potential params r2;
-          incr hits
-        end
-      end
-    done;
-    acc_x.{i} <- !fx *. inv_mass;
-    acc_y.{i} <- !fy *. inv_mass;
-    acc_z.{i} <- !fz *. inv_mass;
-    row_hits.(i) <- !hits
-  done;
-  0.5 *. !pe2
-
-(* Pairlist variants of the two physics kernels: gather over the full
-   neighbour rows instead of all j.  Entries beyond the cutoff fail the
-   same in-cutoff tests and contribute nothing, and in-cutoff partners
-   arrive in the same ascending order, so both are bit-identical to
-   their N² counterparts on the same positions. *)
-let f32_compute_rows ~pe_rows ~row_hits rows s =
-  f32_compute_over ~pe_rows (F32_kernel.Rows rows) ~row_hits s
-
-let dp_compute_rows ~row_hits rows (s : Mdcore.System.t) =
-  let { Mdcore.System.n; box; params; pos_x; pos_y; pos_z;
-        acc_x; acc_y; acc_z; _ } =
-    s
-  in
-  let rc2 = Mdcore.Params.cutoff2 params in
-  let inv_mass = 1.0 /. params.Mdcore.Params.mass in
-  let pe2 = ref 0.0 in
-  for i = 0 to n - 1 do
-    let xi = pos_x.{i} and yi = pos_y.{i} and zi = pos_z.{i} in
-    let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-    let hits = ref 0 in
-    Array.iter
-      (fun j ->
-        let dx = Mdcore.Min_image.delta ~box (xi -. pos_x.{j})
-        and dy = Mdcore.Min_image.delta ~box (yi -. pos_y.{j})
-        and dz = Mdcore.Min_image.delta ~box (zi -. pos_z.{j}) in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-        if r2 < rc2 then begin
-          let f_over_r = Mdcore.Params.lj_force_over_r params r2 in
-          fx := !fx +. (f_over_r *. dx);
-          fy := !fy +. (f_over_r *. dy);
-          fz := !fz +. (f_over_r *. dz);
-          pe2 := !pe2 +. Mdcore.Params.lj_potential params r2;
-          incr hits
-        end)
-      (rows.(i) : int array);
-    acc_x.{i} <- !fx *. inv_mass;
-    acc_y.{i} <- !fy *. inv_mass;
-    acc_z.{i} <- !fz *. inv_mass;
-    row_hits.(i) <- !hits
-  done;
-  0.5 *. !pe2
-
 let apply_f32_engine _system =
   let row_hits = ref [||] and pe_rows = ref [||] in
   Mdcore.Engine.make ~name:"cell-f32" ~compute:(fun s ->
@@ -154,7 +71,8 @@ let apply_f32_engine _system =
         row_hits := Array.make n 0;
         pe_rows := Array.make n 0.0
       end;
-      f32_compute ~pe_rows:!pe_rows ~row_hits:!row_hits s)
+      f32_compute_over ~pe_rows:!pe_rows (F32_kernel.All n)
+        ~row_hits:!row_hits s)
 
 (* ------------------------------------------------------------------ *)
 (* Profiles                                                           *)
@@ -186,34 +104,33 @@ let profile_run ?(steps = 10) ?(precision = Single)
   let n = s.Mdcore.System.n in
   let collected = ref [] in
   let tiles = ref [] in
-  let pl =
-    match Force_path.resolve force_path s with
-    | None -> None
-    | Some skin -> Some (Mdcore.Pairlist.create ~skin s)
-  in
+  let pl = Force_path.resolve force_path s in
   let pe_rows = Array.make n 0.0 in
+  (* Both precisions gather over the same partners: every atom, or the
+     list's full rows.  Binary32 rows run on the pool; binary64 is the
+     shared double-precision gather. *)
   let compute row_hits sys =
-    match pl with
-    | None ->
-      (match precision with
-      | Single -> f32_compute ~pe_rows ~row_hits sys
-      | Double -> dp_compute ~row_hits sys)
-    | Some pl ->
-      let rebuilt = Mdcore.Pairlist.refresh pl in
-      let scanned =
-        if rebuilt then Mdcore.Pairlist.last_build_scanned pl else 0
-      in
-      let rows = Mdcore.Pairlist.full_rows pl in
-      let row_entries = Array.map Array.length rows in
-      tiles :=
-        { row_entries;
-          tile_entries = Array.fold_left ( + ) 0 row_entries;
-          rebuilt;
-          scanned }
-        :: !tiles;
-      (match precision with
-      | Single -> f32_compute_rows ~pe_rows ~row_hits rows sys
-      | Double -> dp_compute_rows ~row_hits rows sys)
+    let partners =
+      match pl with
+      | None -> F32_kernel.All n
+      | Some pl ->
+        let rebuilt = Mdcore.Pairlist.refresh pl in
+        let scanned =
+          if rebuilt then Mdcore.Pairlist.last_build_scanned pl else 0
+        in
+        let rows = Mdcore.Pairlist.full_rows pl in
+        let row_entries = Array.map Array.length rows in
+        tiles :=
+          { row_entries;
+            tile_entries = Array.fold_left ( + ) 0 row_entries;
+            rebuilt;
+            scanned }
+          :: !tiles;
+        F32_kernel.Rows rows
+    in
+    match precision with
+    | Single -> f32_compute_over ~pe_rows partners ~row_hits sys
+    | Double -> fst (Mdcore.Pairlist.gather sys partners ~row_hits)
   in
   let engine =
     Mdcore.Engine.make ~name:"cell" ~compute:(fun sys ->

@@ -90,7 +90,7 @@ type source =
   | Staged of Mdcore.System.f32buf * Mdcore.System.f32buf * Mdcore.System.f32buf
   | Texture of Machine.sampler * int array
 
-type partners = All of int | Rows of int array array
+type partners = Mdcore.Pairlist.partners = All of int | Rows of int array array
 
 (* The row kernel of f32_kernel_stubs.c: [pair]'s arithmetic in native
    binary32, bit for bit.  Each returns the row's interaction count, or

@@ -60,9 +60,11 @@ type source =
           partner's position texel — the order that carries the
           texture-fetch counters and texture fault draws. *)
 
-type partners =
+type partners = Mdcore.Pairlist.partners =
   | All of int  (** every j in [0, n): the N² sweep *)
   | Rows of int array array  (** full neighbour-list rows *)
+(** The partner sets of {!Mdcore.Pairlist.gather}, the binary64 row
+    gather. *)
 
 val gather : params -> acc -> source -> partners -> int -> int
 (** [gather p acc src partners i] runs atom [i]'s row and returns its

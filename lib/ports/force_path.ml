@@ -17,8 +17,6 @@ let resolve t system =
   | Pairlist { skin } ->
     if not (Float.is_finite skin) || skin <= 0.0 then
       invalid_arg "Force_path: skin must be positive and finite";
-    if Mdcore.Pairlist.admissible ~skin system then Some skin else None
-
-let describe = function
-  | Brute -> "n2"
-  | Pairlist { skin } -> Printf.sprintf "pairlist(skin=%g)" skin
+    if Mdcore.Pairlist.admissible ~skin system then
+      Some (Mdcore.Pairlist.create ~skin system)
+    else None

@@ -5,7 +5,8 @@
     0.4σ skin.  Small boxes (below the min-image bound for
     [cutoff+skin]) silently fall back to the brute O(N²) engine, so
     tiny fixtures and the paper-scale N² figures are unaffected by the
-    default. *)
+    default.  Each port asks {!resolve} once per run for its list, so
+    the admissibility decision and the list's creation live here. *)
 
 type t = Brute | Pairlist of { skin : float }
 
@@ -16,10 +17,8 @@ val brute : t
 
 val pairlist : ?skin:float -> unit -> t
 
-val resolve : t -> Mdcore.System.t -> float option
-(** [Some skin] when the run should build a pairlist with that skin,
-    [None] for the brute engine (either requested, or the pairlist is
-    inadmissible for this box).  Raises [Invalid_argument] on a NaN,
-    infinite or nonpositive skin. *)
-
-val describe : t -> string
+val resolve : t -> Mdcore.System.t -> Mdcore.Pairlist.t option
+(** The list a port run uses, created on [system] (the port's working
+    copy) with the requested skin; [None] for the brute engine (either
+    requested, or the pairlist is inadmissible for this box).  Raises
+    [Invalid_argument] on a NaN, infinite or nonpositive skin. *)

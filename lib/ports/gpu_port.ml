@@ -79,11 +79,7 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
   let s = Mdcore.System.copy system in
   let n = s.Mdcore.System.n in
   let m = Machine.create machine in
-  let pl =
-    match Force_path.resolve force_path s with
-    | None -> None
-    | Some skin -> Some (Mdcore.Pairlist.create ~skin s)
-  in
+  let pl = Force_path.resolve force_path s in
   let positions = Machine.create_texture m ~name:"positions" ~texels:n in
   let accels = Machine.create_render_target m ~name:"accelerations" ~texels:n in
   let shader =
@@ -303,9 +299,5 @@ let run ?(steps = 10) ?(machine = Gpustream.Config.geforce_7900gtx)
     pairs_evaluated = !pairs_total;
     interactions = !hits_total;
     final_system = Some s }
-
-let seconds_for ?steps ?machine ?force_path ~n () =
-  let system = Mdcore.Init.build ~n () in
-  (run ?steps ?machine ?force_path system).Run_result.seconds
 
 let setup_seconds result = Run_result.breakdown_get result "setup"

@@ -46,9 +46,5 @@ val run : ?steps:int -> ?machine:Gpustream.Config.t ->
     positions still upload every step.  The CPU is charged for the
     rebuild's candidate scan.  Brute N² otherwise. *)
 
-val seconds_for : ?steps:int -> ?machine:Gpustream.Config.t ->
-  ?force_path:Force_path.t -> n:int -> unit -> float
-(** Build a default system of [n] atoms and return the Fig. 7 runtime. *)
-
 val setup_seconds : Run_result.t -> float
 (** The excluded one-time startup cost, for reporting. *)

@@ -32,21 +32,18 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
   let m = Machine.create machine in
   let pairs_total = ref 0 and hits_total = ref 0 in
   let invocations = ref 0 in
-  let pl =
-    match Force_path.resolve force_path s with
-    | None -> None
-    | Some skin -> Some (Mdcore.Pairlist.create ~skin s)
-  in
+  let pl = Force_path.resolve force_path s in
   let rebuild_pairs = ref 0 in
+  let row_hits = Array.make n 0 in
   let engine =
     Mdcore.Engine.make ~name:"mta" ~compute:(fun sys ->
         incr invocations;
         (* With the pairlist, the iteration space each stream pulls from
            is the stored neighbour rows, not the full N² sweep; rebuild
            steps stream the build's candidate scan first. *)
-        let pairs =
+        let pairs, partners =
           match pl with
-          | None -> n * (n - 1)
+          | None -> (n * (n - 1), Mdcore.Pairlist.All n)
           | Some pl ->
             if Mdcore.Pairlist.refresh pl then begin
               let scanned = Mdcore.Pairlist.last_build_scanned pl in
@@ -55,7 +52,8 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
               rebuild_pairs := !rebuild_pairs + scanned;
               pairs_total := !pairs_total + scanned
             end;
-            Mdcore.Pairlist.full_entry_count pl
+            ( Mdcore.Pairlist.full_entry_count pl,
+              Mdcore.Pairlist.Rows (Mdcore.Pairlist.full_rows pl) )
         in
         (* In the fully multithreaded version the PE reduction lives
            inside the loop body as a full/empty-bit accumulate; each
@@ -64,11 +62,7 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
         let pe, hits =
           Machine.charged_region m ~loop:(pair_loop mode) ~n:pairs
             ~f:(fun () ->
-              let pe, hits =
-                match pl with
-                | None -> Mdcore.Forces.compute_gather_stats sys
-                | Some pl -> Mdcore.Pairlist.compute_full_stats pl sys
-              in
+              let pe, hits = Mdcore.Pairlist.gather sys partners ~row_hits in
               if mode = Fully_multithreaded then
                 Machine.charge_sync_ops m (2 * hits);
               (pe, hits))
@@ -112,7 +106,3 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
     pairs_evaluated = !pairs_total;
     interactions = !hits_total;
     final_system = Some s }
-
-let seconds_for ?steps ?mode ?machine ?force_path ~n () =
-  let system = Mdcore.Init.build ~n () in
-  (run ?steps ?mode ?machine ?force_path system).Run_result.seconds

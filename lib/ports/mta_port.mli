@@ -1,7 +1,9 @@
 (** The Cray MTA-2 port of the MD kernel (Section 5.3 of the paper).
 
-    Double precision throughout (the only port that is).  The paper's
-    compiler story is modelled explicitly:
+    Double precision throughout, like the Opteron reference: the physics
+    is the shared binary64 row gather {!Mdcore.Pairlist.gather}, so its
+    records are bitwise those of the Cell's binary64 profile.  The
+    paper's compiler story is modelled explicitly:
 
     - the hot acceleration loop (step 2) {e carries a reduction
       dependency}, so the MTA compiler refuses to parallelize it as
@@ -24,12 +26,9 @@ val run : ?steps:int -> ?mode:mode -> ?machine:Mta.Config.t ->
 (** Default mode: fully multithreaded; default machine: 1-processor
     MTA-2.
 
+    Physics is one {!Mdcore.Pairlist.gather} call per force evaluation
+    on either force path, bit-identical to the gather reference.
     [force_path] defaults to the pairlist: the streams pull iterations
-    from the stored neighbour rows instead of the N² sweep (physics via
-    {!Mdcore.Pairlist.compute_full_stats}, bit-identical to the gather
-    reference), and rebuild steps stream the build's candidate scan as
-    an extra charged region.  Boxes below the min-image bound fall back
-    to the brute engine. *)
-
-val seconds_for : ?steps:int -> ?mode:mode -> ?machine:Mta.Config.t ->
-  ?force_path:Force_path.t -> n:int -> unit -> float
+    from the stored neighbour rows instead of the N² sweep, and rebuild
+    steps stream the build's candidate scan as an extra charged region.
+    Boxes below the min-image bound fall back to the brute engine. *)

@@ -2,16 +2,10 @@ module Hierarchy = Memsim.Hierarchy
 module Layout = Memsim.Layout
 module Pipe = Isa.Opteron_pipe
 
-type config = {
-  clock : Sim_util.Units.clock;
-  hierarchy : Memsim.Hierarchy.config;
-  sample_rows : int;
-}
+let clock = Sim_util.Units.clock ~hz:2.2e9 ~label:"Opteron 2.2 GHz"
 
-let default_config =
-  { clock = Sim_util.Units.clock ~hz:2.2e9 ~label:"Opteron 2.2 GHz";
-    hierarchy = Hierarchy.opteron_2_2ghz;
-    sample_rows = 4 }
+(* i-rows replayed through the cache model per force evaluation. *)
+let sample_rows = 4
 
 (* Address-space image of the nine SoA arrays, as a C allocator would lay
    them out. *)
@@ -20,19 +14,17 @@ type mem_model = {
   tlb : Memsim.Tlb.t;
   l1_hit : int;
   n : int;
-  sample_rows : int;
   pos_bases : int array;  (* x, y, z *)
   all_bases : int array;  (* all nine arrays, for the integration sweep *)
 }
 
-let make_mem_model cfg ~n =
+let make_mem_model ~n =
   let layout = Layout.create () in
   let all_bases = Array.init 9 (fun _ -> Layout.alloc_float_array layout ~n) in
-  { hier = Hierarchy.create cfg.hierarchy;
+  { hier = Hierarchy.create Hierarchy.opteron_2_2ghz;
     tlb = Memsim.Tlb.create () (* K8 L1 DTLB: 32 x 4 KB *);
-    l1_hit = cfg.hierarchy.Hierarchy.l1_hit_cycles;
+    l1_hit = Hierarchy.opteron_2_2ghz.Hierarchy.l1_hit_cycles;
     n;
-    sample_rows = max 1 cfg.sample_rows;
     pos_bases = Array.sub all_bases 0 3;
     all_bases }
 
@@ -56,10 +48,10 @@ let replay_row mm =
    persistent hierarchy state amortizes away. *)
 let pair_excess_cycles mm =
   let total = ref 0 in
-  for _ = 1 to mm.sample_rows do
+  for _ = 1 to sample_rows do
     total := !total + replay_row mm
   done;
-  float_of_int !total /. float_of_int (mm.sample_rows * mm.n)
+  float_of_int !total /. float_of_int (sample_rows * mm.n)
 
 (* The integration step walks all nine arrays linearly (read + write). *)
 let integration_excess_cycles mm =
@@ -106,77 +98,44 @@ let publish_prof ~pairs ~hits ~steps ~n ~seconds =
       Isa.Op.all
   end
 
-let run_brute ?(steps = 10) ?(config = default_config) system =
+(* One run body for both force paths.  The N² path is the paper's
+   per-step gather over every j <> i; the list path is the half-list
+   Newton-3 traversal, which also pays each rebuild's candidate scan
+   (n(n-1)/2 for brute builds, the 27-cell stencil population when the
+   cell-binned build is active) on the step that triggers it.  Either
+   way a step charges its pair loop, hit blocks and row overhead, and
+   the cache replay's excess cycles per pair. *)
+let run ?(steps = 10) ?(force_path = Force_path.default) system =
   let s = Mdcore.System.copy system in
   let n = s.Mdcore.System.n in
-  let mm = make_mem_model config ~n in
-  let base_cyc = per_iter Kernels.opteron_base in
-  let hit_cyc = per_iter Kernels.opteron_hit in
-  let row_cyc = per_iter Kernels.opteron_row_overhead in
-  let integ_cyc = per_iter Kernels.opteron_integration in
-  let compute_cycles = ref 0.0 in
-  let memory_cycles = ref 0.0 in
-  let pairs_total = ref 0 and hits_total = ref 0 in
-  let pairs_per_step = n * (n - 1) in
-  let engine =
-    Mdcore.Engine.make ~name:"opteron" ~compute:(fun sys ->
-        let pe, hits = Mdcore.Forces.compute_gather_stats sys in
-        pairs_total := !pairs_total + pairs_per_step;
-        hits_total := !hits_total + hits;
-        compute_cycles :=
-          !compute_cycles
-          +. (float_of_int pairs_per_step *. base_cyc)
-          +. (float_of_int hits *. hit_cyc)
-          +. (float_of_int n *. row_cyc);
-        memory_cycles :=
-          !memory_cycles +. (pair_excess_cycles mm *. float_of_int pairs_per_step);
-        pe)
-  in
-  let records = Mdcore.Verlet.run s ~engine ~steps ~max_step_retries:(Mdfault.step_retries ()) () in
-  (* Integration work: once per step, outside the force engine. *)
-  compute_cycles :=
-    !compute_cycles +. (float_of_int (steps * n) *. integ_cyc);
-  for _ = 1 to steps do
-    memory_cycles := !memory_cycles +. integration_excess_cycles mm
-  done;
-  let to_s c = Sim_util.Units.seconds_of_cycles config.clock c in
-  publish_prof ~pairs:!pairs_total ~hits:!hits_total ~steps ~n
-    ~seconds:(to_s (!compute_cycles +. !memory_cycles));
-  { Run_result.device = "Opteron 2.2 GHz";
-    n_atoms = n;
-    steps;
-    seconds = to_s (!compute_cycles +. !memory_cycles);
-    records;
-    breakdown =
-      [ ("compute", to_s !compute_cycles); ("memory", to_s !memory_cycles) ];
-    pairs_evaluated = !pairs_total;
-    interactions = !hits_total;
-    final_system = Some s }
-
-let run_with_pairlist ?(steps = 10) ?(config = default_config) ?skin system =
-  let s = Mdcore.System.copy system in
-  let n = s.Mdcore.System.n in
-  let mm = make_mem_model config ~n in
-  let pl = Mdcore.Pairlist.create ?skin s in
-  let pl_engine = Mdcore.Pairlist.engine pl in
+  let mm = make_mem_model ~n in
+  let pl = Force_path.resolve force_path s in
   let base_cyc = per_iter Kernels.opteron_base in
   let hit_cyc = per_iter Kernels.opteron_hit in
   let row_cyc = per_iter Kernels.opteron_row_overhead in
   let integ_cyc = per_iter Kernels.opteron_integration in
   let compute_cycles = ref 0.0 and memory_cycles = ref 0.0 in
   let pairs_total = ref 0 and hits_total = ref 0 in
-  let rebuild_pairs = ref 0 in
-  let rebuilds_seen = ref 0 in
+  let rebuild_pairs = ref 0 and rebuilds_seen = ref 0 in
+  let row_hits = Array.make n 0 in
   let engine =
-    Mdcore.Engine.make ~name:"opteron-pairlist" ~compute:(fun sys ->
-        let pe = pl_engine.Mdcore.Engine.compute sys in
-        let entries = Mdcore.Pairlist.neighbour_count pl in
-        let hits = Mdcore.Pairlist.last_interaction_count pl in
+    Mdcore.Engine.make ~name:"opteron" ~compute:(fun sys ->
+        let pe, pairs, hits =
+          match pl with
+          | None ->
+            let pe, hits =
+              Mdcore.Pairlist.gather sys (Mdcore.Pairlist.All n) ~row_hits
+            in
+            (pe, n * (n - 1), hits)
+          | Some pl ->
+            let pe = (Mdcore.Pairlist.engine pl).Mdcore.Engine.compute sys in
+            ( pe,
+              Mdcore.Pairlist.neighbour_count pl,
+              Mdcore.Pairlist.last_interaction_count pl )
+        in
         let excess = pair_excess_cycles mm in
-        (* Rebuild steps pay the build's candidate-distance scan —
-           n(n-1)/2 for brute builds, the 27-cell stencil population
-           when the cell-binned build is active. *)
-        if Mdcore.Pairlist.rebuild_count pl > !rebuilds_seen then begin
+        (match pl with
+        | Some pl when Mdcore.Pairlist.rebuild_count pl > !rebuilds_seen ->
           rebuilds_seen := Mdcore.Pairlist.rebuild_count pl;
           let scan_pairs = Mdcore.Pairlist.last_build_scanned pl in
           compute_cycles :=
@@ -185,31 +144,34 @@ let run_with_pairlist ?(steps = 10) ?(config = default_config) ?skin system =
             !memory_cycles +. (excess *. float_of_int scan_pairs);
           pairs_total := !pairs_total + scan_pairs;
           rebuild_pairs := !rebuild_pairs + scan_pairs
-        end;
-        pairs_total := !pairs_total + entries;
+        | _ -> ());
+        pairs_total := !pairs_total + pairs;
         hits_total := !hits_total + hits;
         compute_cycles :=
           !compute_cycles
-          +. (float_of_int entries *. base_cyc)
+          +. (float_of_int pairs *. base_cyc)
           +. (float_of_int hits *. hit_cyc)
           +. (float_of_int n *. row_cyc);
-        memory_cycles := !memory_cycles +. (excess *. float_of_int entries);
+        memory_cycles := !memory_cycles +. (excess *. float_of_int pairs);
         pe)
   in
   let records = Mdcore.Verlet.run s ~engine ~steps ~max_step_retries:(Mdfault.step_retries ()) () in
+  (* Integration work: once per step, outside the force engine. *)
   compute_cycles := !compute_cycles +. (float_of_int (steps * n) *. integ_cyc);
   for _ = 1 to steps do
     memory_cycles := !memory_cycles +. integration_excess_cycles mm
   done;
-  let to_s c = Sim_util.Units.seconds_of_cycles config.clock c in
+  let to_s c = Sim_util.Units.seconds_of_cycles clock c in
   publish_prof ~pairs:!pairs_total ~hits:!hits_total ~steps ~n
     ~seconds:(to_s (!compute_cycles +. !memory_cycles));
-  if Mdprof.enabled () then
+  if Mdprof.enabled () && Option.is_some pl then
     Mdprof.add
       (Mdprof.counter ~unit_:"pairs" ~clock:Mdprof.Virtual
          "opteron/pairlist_rebuild_pairs")
       !rebuild_pairs;
-  { Run_result.device = "Opteron 2.2 GHz (pairlist)";
+  { Run_result.device =
+      (if Option.is_some pl then "Opteron 2.2 GHz (pairlist)"
+       else "Opteron 2.2 GHz");
     n_atoms = n;
     steps;
     seconds = to_s (!compute_cycles +. !memory_cycles);
@@ -220,22 +182,12 @@ let run_with_pairlist ?(steps = 10) ?(config = default_config) ?skin system =
     interactions = !hits_total;
     final_system = Some s }
 
-let run ?steps ?config ?(force_path = Force_path.default) system =
-  match Force_path.resolve force_path system with
-  | None -> run_brute ?steps ?config system
-  | Some skin -> run_with_pairlist ?steps ?config ~skin system
-
-(* Forces the list engine regardless of box admissibility (raises on a
-   box below the min-image bound) — the harness speedup ablation. *)
-let run_pairlist ?steps ?config ?skin system =
-  run_with_pairlist ?steps ?config ?skin system
-
-let seconds_for ?steps ?config ?force_path ~n () =
+let seconds_for ?steps ?force_path ~n () =
   let system = Mdcore.Init.build ~n () in
-  (run ?steps ?config ?force_path system).Run_result.seconds
+  (run ?steps ?force_path system).Run_result.seconds
 
-let memory_excess_cycles_per_pair ?(config = default_config) ~n () =
-  let mm = make_mem_model config ~n in
+let memory_excess_cycles_per_pair ~n () =
+  let mm = make_mem_model ~n in
   (* Warm sweep, then measure. *)
   let _ = replay_row mm in
   pair_excess_cycles mm

@@ -592,24 +592,51 @@ let bitwise_systems () =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* The binary64 gather against the reference, with both partner sets:
+   the list's full rows (through [compute_full_stats] and directly) and
+   the N² sweep.  Per-row hits start at -1, so a row left unwritten
+   shows. *)
 let test_full_stats_matches_gather_bitwise () =
   List.iter
     (fun (name, base, skin) ->
-      let reference = System.copy base and s = System.copy base in
+      let n = base.System.n in
+      let reference = System.copy base in
       let pe_ref, hits_ref = Forces.compute_gather_stats reference in
-      let pe, hits = Pairlist.compute_full_stats (Pairlist.create ~skin s) s in
-      Alcotest.(check int) (name ^ ": hits") hits_ref hits;
-      if not (same_bits pe_ref pe) then
-        Alcotest.failf "%s: PE %h <> %h" name pe pe_ref;
-      List.iter
-        (fun (axis, (a : System.buf), (b : System.buf)) ->
-          for i = 0 to s.System.n - 1 do
-            if not (same_bits a.{i} b.{i}) then
-              Alcotest.failf "%s: acc_%s.{%d} %h <> %h" name axis i b.{i} a.{i}
-          done)
-        [ ("x", reference.System.acc_x, s.System.acc_x);
-          ("y", reference.System.acc_y, s.System.acc_y);
-          ("z", reference.System.acc_z, s.System.acc_z) ])
+      let check what (s : System.t) (pe, hits) =
+        let name = name ^ ", " ^ what in
+        Alcotest.(check int) (name ^ ": hits") hits_ref hits;
+        if not (same_bits pe_ref pe) then
+          Alcotest.failf "%s: PE %h <> %h" name pe pe_ref;
+        List.iter
+          (fun (axis, (a : System.buf), (b : System.buf)) ->
+            for i = 0 to n - 1 do
+              if not (same_bits a.{i} b.{i}) then
+                Alcotest.failf "%s: acc_%s.{%d} %h <> %h" name axis i b.{i}
+                  a.{i}
+            done)
+          [ ("x", reference.System.acc_x, s.System.acc_x);
+            ("y", reference.System.acc_y, s.System.acc_y);
+            ("z", reference.System.acc_z, s.System.acc_z) ]
+      in
+      let s = System.copy base in
+      let pl = Pairlist.create ~skin s in
+      check "full stats" s (Pairlist.compute_full_stats pl s);
+      let rows_hits = Array.make n (-1) in
+      let s_rows = System.copy base in
+      check "rows" s_rows
+        (Pairlist.gather s_rows (Pairlist.Rows (Pairlist.full_rows pl))
+           ~row_hits:rows_hits);
+      let all_hits = Array.make n (-1) in
+      let s_all = System.copy base in
+      check "all" s_all
+        (Pairlist.gather s_all (Pairlist.All n) ~row_hits:all_hits);
+      for i = 0 to n - 1 do
+        if rows_hits.(i) <> all_hits.(i) then
+          Alcotest.failf "%s: row %d hits %d (rows) <> %d (all)" name i
+            rows_hits.(i) all_hits.(i)
+      done;
+      Alcotest.(check int) (name ^ ": per-row hits sum") hits_ref
+        (Array.fold_left ( + ) 0 all_hits))
     (bitwise_systems ())
 
 (* Run [f] with the default pool sized [domains], restoring the

@@ -910,8 +910,10 @@ let test_opteron_pairlist_same_physics () =
   (* Pairlist physics must track the reference within list-validity
      tolerance (exact while no neighbour crosses the skin). *)
   let s = Init.build ~seed:31 ~n:216 () in
-  let n2 = Opteron.run ~steps s in
-  let pl = Opteron.run_pairlist ~steps s in
+  let n2 = Opteron.run ~steps ~force_path:Mdports.Force_path.brute s in
+  let pl =
+    Opteron.run ~steps ~force_path:(Mdports.Force_path.pairlist ()) s
+  in
   List.iter2
     (fun (a : Verlet.step_record) (b : Verlet.step_record) ->
       Alcotest.(check (float 1e-7)) "same energies" a.Verlet.total_energy
@@ -921,7 +923,9 @@ let test_opteron_pairlist_same_physics () =
 let test_opteron_pairlist_faster () =
   let s = Init.build ~seed:31 ~n:512 () in
   let n2 = Opteron.run ~steps ~force_path:Mdports.Force_path.brute s in
-  let pl = Opteron.run_pairlist ~steps s in
+  let pl =
+    Opteron.run ~steps ~force_path:(Mdports.Force_path.pairlist ()) s
+  in
   Alcotest.(check bool)
     (Printf.sprintf "pairlist %.4f s < N^2 %.4f s" pl.Rr.seconds n2.Rr.seconds)
     true
@@ -954,11 +958,19 @@ let test_default_force_path_flips () =
       ("gpu", fun s -> Gpu.run ~steps:1 s);
       ("mta", fun s -> Mta.run ~steps:1 s) ]
 
+let record_bits (r : Verlet.step_record) =
+  ( r.Verlet.step,
+    List.map Int64.bits_of_float
+      [ r.Verlet.sim_time; r.Verlet.pe; r.Verlet.ke; r.Verlet.total_energy;
+        r.Verlet.temperature ] )
+
 let test_gather_ports_pairlist_bitwise () =
   (* Cell, GPU and MTA traverse the full neighbour rows with the same
      per-row ascending hit order as their N² gathers, and out-of-reach
      entries contribute exactly nothing — so flipping the engine changes
-     no physics bit on these ports, in either precision. *)
+     no physics bit on these ports, in either precision.  The binary64
+     Cell profile and the MTA port share one gather, so their records
+     agree bit for bit on both force paths. *)
   let n = 512 in
   let check name runner =
     let pl = runner Mdports.Force_path.default in
@@ -968,12 +980,28 @@ let test_gather_ports_pairlist_bitwise () =
     Alcotest.(check int) (name ^ ": same interactions") n2.Rr.interactions
       pl.Rr.interactions
   in
+  let cell_dp force_path =
+    Cell.run ~steps ~force_path
+      ~config:{ Cell.default_config with precision = Cell.Double }
+      (Init.build ~seed:31 ~n ())
+  in
+  let mta force_path = Mta.run ~steps ~force_path (Init.build ~seed:31 ~n ()) in
   check "cell" (fun force_path ->
       Cell.run ~steps ~force_path (Init.build ~seed:31 ~n ()));
+  check "cell binary64" cell_dp;
   check "gpu" (fun force_path ->
       Gpu.run ~steps ~force_path (Init.build ~seed:31 ~n ()));
-  check "mta" (fun force_path ->
-      Mta.run ~steps ~force_path (Init.build ~seed:31 ~n ()))
+  check "mta" mta;
+  List.iter
+    (fun (path, force_path) ->
+      let c = cell_dp force_path and m = mta force_path in
+      Alcotest.(check bool) ("cell binary64 = mta records bitwise, " ^ path)
+        true
+        (List.map record_bits c.Rr.records = List.map record_bits m.Rr.records);
+      Alcotest.(check int) ("cell binary64 = mta interactions, " ^ path)
+        m.Rr.interactions c.Rr.interactions)
+    [ ("pairlist", Mdports.Force_path.default);
+      ("n2", Mdports.Force_path.brute) ]
 
 let test_pairlist_faster_on_every_port () =
   (* The tentpole acceptance: at the largest bench size the pairlist
