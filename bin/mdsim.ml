@@ -29,13 +29,14 @@ let temperature_arg =
   Arg.(value & opt float 1.0 & info [ "temperature" ] ~docv:"T" ~doc)
 
 let engine_arg =
-  let engines = [ ("pairlist", `Pairlist); ("n2", `N2) ] in
+  let engines = List.map (fun n -> (n, n)) Mdports.Force_path.names in
   let doc =
-    "Force engine: $(b,pairlist) (the skin-based Verlet neighbour list, \
-     the default) or $(b,n2) (the paper's per-step O(N²) sweep).  Boxes \
-     below the min-image bound for cutoff+skin silently fall back to n2.  \
-     Cannot be combined with $(b,--resume): the checkpoint carries the \
-     engine."
+    "Force engine: $(b,pairlist) (the skin-based Verlet neighbour list) \
+     or $(b,n2) (the paper's per-step O(N²) sweep).  Without this flag \
+     the pairlist runs wherever the box admits it (box >= \
+     2*(cutoff+skin)) and smaller boxes fall back to n2; an explicit \
+     $(b,pairlist) on such a box is refused.  Cannot be combined with \
+     $(b,--resume): the checkpoint carries the engine."
   in
   Arg.(
     value
@@ -95,51 +96,19 @@ let usage_error fmt =
       exit 2)
     fmt
 
-let validate_run_args ~atoms ~steps ~density ~temperature =
-  if atoms <= 0 then usage_error "--atoms must be positive (got %d)" atoms;
+let validate_run_args ~steps ~temperature =
   if steps < 0 then usage_error "--steps must be non-negative (got %d)" steps;
-  if (not (Float.is_finite density)) || density <= 0.0 then
-    usage_error "--density must be a finite positive number (got %g)" density;
   if (not (Float.is_finite temperature)) || temperature < 0.0 then
     usage_error "--temperature must be a finite non-negative number (got %g)"
       temperature
 
-(* Forces are byte-identical across engines' admissible/inadmissible
-   boundary handling only because validation happens here, before any
-   port runs: a bad skin must exit 2, never raise from inside a port. *)
-let force_path_of_args ?geometry ~engine ~skin () =
-  (match (engine, skin) with
-  | Some `N2, Some _ ->
-    usage_error "--skin requires the pairlist engine (got --engine n2)"
-  | _ -> ());
-  (* An explicitly requested pairlist must actually be usable: the
-     min-image convention caps the reach at half the box, and silently
-     falling back to brute would contradict the flag.  (The default
-     engine, with no --engine given, still falls back silently so the
-     small paper fixtures run unchanged.) *)
-  (match (engine, geometry) with
-  | Some `Pairlist, Some (atoms, density) ->
-    let box = Float.cbrt (float_of_int atoms /. density) in
-    let reach =
-      Mdcore.Params.default.Mdcore.Params.cutoff
-      +. Option.value skin ~default:Mdcore.Pairlist.default_skin
-    in
-    if box < 2.0 *. reach then
-      usage_error
-        "--engine pairlist needs box >= 2*(cutoff+skin) for the \
-         minimum-image convention (box %.3g < %.3g; raise --atoms or \
-         lower --skin)"
-        box (2.0 *. reach)
-  | _ -> ());
-  match engine with
-  | Some `N2 -> Mdports.Force_path.brute
-  | Some `Pairlist | None -> (
-    match skin with
-    | None -> Mdports.Force_path.default
-    | Some sk ->
-      if (not (Float.is_finite sk)) || sk <= 0.0 then
-        usage_error "--skin must be a finite positive number of σ (got %g)" sk;
-      Mdports.Force_path.pairlist ~skin:sk ())
+(* The geometry and engine are judged here, before any port runs: an
+   input the system cannot take must exit 2, never raise from inside a
+   port or silently run another engine. *)
+let force_path_or_exit ?engine ?skin ~atoms ~density () =
+  match Mdports.Force_path.setup ?engine ?skin ~n:atoms ~density () with
+  | Ok force_path -> force_path
+  | Error msg -> usage_error "%s" msg
 
 let faults_arg =
   let doc =
@@ -172,7 +141,7 @@ let start_faults spec_text =
 
 let finish_fault_log = function
   | Some path ->
-    Mdobs.write_file ~path (Mdfault.events_json ());
+    Mdio.write_atomic ~fsync_dir:false ~path (Mdfault.events_json ());
     Printf.printf "wrote %s\n" path
   | None -> ()
 
@@ -280,7 +249,7 @@ let finish_counters = function
       if Filename.check_suffix path ".csv" then Mdprof.to_csv ()
       else Mdprof.to_json ()
     in
-    Mdobs.write_file ~path data;
+    Mdio.write_atomic ~fsync_dir:false ~path data;
     Printf.printf "wrote %s\n" path
   | None -> ()
 
@@ -294,12 +263,13 @@ let finish_trace trace =
   match trace with
   | Some path ->
     Mdobs.disable ();
-    Mdobs.write_file ~path (Mdobs.to_chrome_json ());
+    Mdio.write_atomic ~fsync_dir:false ~path (Mdobs.to_chrome_json ());
     Printf.printf "wrote %s\n" path
   | None -> ()
 
 let write_run_metrics path (r : Mdports.Run_result.t) =
-  Mdobs.write_file ~path (Mdports.Run_result.metrics_json r);
+  Mdio.write_atomic ~fsync_dir:false ~path
+    (Mdports.Run_result.metrics_json r);
   Printf.printf "wrote %s\n" path
 
 let csv_dir_arg =
@@ -419,23 +389,28 @@ let run_cmd =
       xyz_path domains trace metrics counters faults fault_log every
       ckpt_dir keep resume deadline guard telemetry tel_every progress =
     apply_domains domains;
-    validate_run_args ~atoms ~steps ~density ~temperature;
+    validate_run_args ~steps ~temperature;
     validate_checkpoint_args ~every ~keep ~deadline ~resume;
-    (match resume with
-    | Some _ ->
-      if faults <> None then
-        usage_error
-          "--resume cannot be combined with --faults: the checkpoint \
-           carries the fault plan";
-      if engine <> None || skin <> None then
-        usage_error
-          "--resume cannot be combined with --engine/--skin: the \
-           checkpoint carries the force engine";
-      if xyz_path <> None then
-        usage_error "--resume cannot be combined with --dump-xyz"
-    | None -> ());
-    let force_path =
-      force_path_of_args ~geometry:(atoms, density) ~engine ~skin ()
+    (* A resumed run takes its geometry and engine from the checkpoint. *)
+    let plan =
+      match resume with
+      | Some path ->
+        if faults <> None then
+          usage_error
+            "--resume cannot be combined with --faults: the checkpoint \
+             carries the fault plan";
+        if engine <> None || skin <> None then
+          usage_error
+            "--resume cannot be combined with --engine/--skin: the \
+             checkpoint carries the force engine";
+        if xyz_path <> None then
+          usage_error "--resume cannot be combined with --dump-xyz";
+        `Resume path
+      | None -> (
+        match force_path_or_exit ?engine ?skin ~atoms ~density () with
+        | Mdports.Force_path.Brute when skin <> None ->
+          usage_error "--skin requires the pairlist engine (got --engine n2)"
+        | force_path -> `Run force_path)
     in
     start_trace trace;
     start_counters counters;
@@ -443,13 +418,13 @@ let run_cmd =
       ~resume:(resume <> None);
     start_faults faults;
     apply_guard guard;
-    (match resume with
-    | Some path ->
+    (match plan with
+    | `Resume path ->
       guard_ckpt_dir_or_exit
         (if Sys.file_exists path && Sys.is_directory path then path
          else Filename.dirname path);
       install_suspend_handlers ()
-    | None ->
+    | `Run _ ->
       if every > 0 then begin
         guard_ckpt_dir_or_exit ckpt_dir;
         install_suspend_handlers ()
@@ -499,8 +474,8 @@ let run_cmd =
       | Mdckpt.Runner.Complete r -> finish_complete r
       | Mdckpt.Runner.Suspended s -> finish_suspended s
     in
-    match resume with
-    | Some path ->
+    match plan with
+    | `Resume path ->
       let outcome =
         or_unrecovered (fun () ->
             match Mdckpt.Runner.resume ?deadline path with
@@ -508,7 +483,7 @@ let run_cmd =
             | Error msg -> usage_error "cannot resume from %s: %s" path msg)
       in
       finish_outcome outcome
-    | None ->
+    | `Run force_path ->
       (match xyz_path with
       | Some path ->
         (* The timing ports integrate internal copies, so dump the
@@ -663,7 +638,8 @@ let experiment_cmd =
     | None -> ());
     (match markdown with
     | Some path ->
-      Mdobs.write_file ~path (Harness.Report.to_markdown outcomes);
+      Mdio.write_atomic ~fsync_dir:false ~path
+        (Harness.Report.to_markdown outcomes);
       Printf.printf "wrote %s\n" path
     | None -> ());
     finish_trace trace;
@@ -671,7 +647,7 @@ let experiment_cmd =
     finish_fault_log fault_log;
     (match metrics with
     | Some path ->
-      Mdobs.write_file ~path
+      Mdio.write_atomic ~fsync_dir:false ~path
         (Harness.Report.metrics_json ~classified outcomes);
       Printf.printf "wrote %s\n" path
     | None -> ());
@@ -739,15 +715,17 @@ let devices_cmd =
 let profile_cmd =
   let action atoms steps seed density temperature quick domains counters =
     apply_domains domains;
-    validate_run_args ~atoms ~steps ~density ~temperature;
-    Mdprof.enable ();
+    validate_run_args ~steps ~temperature;
     let atoms, steps = if quick then (min atoms 256, min steps 4) else (atoms, steps) in
+    let force_path = force_path_or_exit ~atoms ~density () in
+    Mdprof.enable ();
     let system = build_system ~atoms ~seed ~density ~temperature in
     let runs =
-      [ ("opteron", fun () -> Mdports.Opteron_port.run ~steps system);
-        ("cell", fun () -> Mdports.Cell_port.run ~steps system);
-        ("gpu", fun () -> Mdports.Gpu_port.run ~steps system);
-        ("mta", fun () -> Mdports.Mta_port.run ~steps system) ]
+      [ ("opteron",
+         fun () -> Mdports.Opteron_port.run ~steps ~force_path system);
+        ("cell", fun () -> Mdports.Cell_port.run ~steps ~force_path system);
+        ("gpu", fun () -> Mdports.Gpu_port.run ~steps ~force_path system);
+        ("mta", fun () -> Mdports.Mta_port.run ~steps ~force_path system) ]
     in
     Printf.printf "Profiling %d atoms x %d steps on every device model:\n\n"
       atoms steps;
@@ -814,12 +792,7 @@ let align_cmd =
     Term.(const action $ seed_arg $ len_arg 0 "first" $ len_arg 1 "second")
 
 let read_file_or_exit path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | content -> content
   | exception Sys_error msg -> usage_error "cannot read %s: %s" path msg
 

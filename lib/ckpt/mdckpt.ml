@@ -62,27 +62,18 @@ module Wire = struct
   (* Bigarray float64 streams.  The wire layout is identical to [farr]
      (LE i64 length, then raw IEEE-754 bits per element), so checkpoints
      written before the SoA buffers moved to bigarrays decode unchanged.
-     The bulk path stages the whole stream into one [Bytes] and appends
-     it in a single blit instead of going through the Buffer element by
-     element; [force_portable] pins the per-element fallback so tests
-     can check the two encoders are byte-identical. *)
-  let force_portable = ref false
-
+     The whole stream is staged into one [Bytes] — [set_int64_le] writes
+     little-endian on any host — and appended in a single blit instead
+     of going through the Buffer element by element. *)
   let fbuf buf (a : System.buf) =
     let n = Bigarray.Array1.dim a in
     i64 buf n;
-    if Sys.big_endian || !force_portable then
-      for i = 0 to n - 1 do
-        f64 buf (Bigarray.Array1.unsafe_get a i)
-      done
-    else begin
-      let bytes = Bytes.create (8 * n) in
-      for i = 0 to n - 1 do
-        Bytes.set_int64_le bytes (8 * i)
-          (Int64.bits_of_float (Bigarray.Array1.unsafe_get a i))
-      done;
-      Buffer.add_bytes buf bytes
-    end
+    let bytes = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le bytes (8 * i)
+        (Int64.bits_of_float (Bigarray.Array1.unsafe_get a i))
+    done;
+    Buffer.add_bytes buf bytes
 
   type reader = { data : string; mutable pos : int }
 
@@ -580,7 +571,7 @@ let decode data =
           let skin = Wire.rf64 r in
           (engine, skin)
         end
-        else ("n2", Mdcore.Pairlist.default_skin)
+        else Mdports.Force_path.(encode brute)
       in
       let system = dec_system (get "system") in
       if system.System.n <> atoms then raise (Corrupt "atom count mismatch");
@@ -620,14 +611,6 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* tmp + fsync + rename + directory fsync: after [write_atomic] returns,
-   either the old file or the complete new file survives a crash — never
-   a torn write.  Routed through the Mdio shim, so every one of its six
-   syscalls is a counted crash point and a storage-fault site; on an
-   injected (or real) error the .tmp is cleaned up, while a simulated
-   crash leaves it behind exactly as kill -9 would. *)
-let write_atomic ~path data = Mdio.write_atomic ~path data
-
 let generation_of_filename name =
   if
     String.length name > 5
@@ -656,7 +639,7 @@ let gc ~dir ~keep =
         try Mdio.remove path with
         | Unix.Unix_error _ | Sys_error _ -> ())
     gens;
-  (* Stale write_atomic temporaries — left by a crash mid-save — are
+  (* Stale [Mdio.write_atomic] temporaries — left by a crash mid-save — are
      never valid generations ([generation_of_filename] rejects them),
      so the first post-recovery GC sweeps them out. *)
   (match Sys.readdir dir with
@@ -676,20 +659,14 @@ let gc ~dir ~keep =
 let save ~dir st =
   mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "ckpt-%09d.mdsim" st.completed) in
-  write_atomic ~path (encode st);
+  Mdio.write_atomic ~path (encode st);
   gc ~dir ~keep:st.keep;
   path
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | data -> decode data
   | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error "truncated file"
 
 (* Newest generation first; corrupt/truncated/wrong-schema files are
    rejected with a one-line diagnostic and the previous generation is
@@ -813,17 +790,6 @@ module Runner = struct
     cfg_keep : int;
     cfg_dir : string;
   }
-
-  let engine_of_force_path = function
-    | Mdports.Force_path.Brute -> ("n2", Mdcore.Pairlist.default_skin)
-    | Mdports.Force_path.Pairlist { skin } -> ("pairlist", skin)
-
-  let force_path_of_engine ~engine ~skin =
-    match engine with
-    | "n2" -> Ok Mdports.Force_path.Brute
-    | "pairlist" -> Ok (Mdports.Force_path.Pairlist { skin })
-    | other ->
-      Error (Printf.sprintf "unknown force engine %S in checkpoint" other)
 
   type suspension = {
     sus_completed : int;
@@ -956,7 +922,7 @@ module Runner = struct
       final_system = Some st.system }
 
   let initial_state cfg system =
-    let engine, skin = engine_of_force_path cfg.cfg_force_path in
+    let engine, skin = Mdports.Force_path.encode cfg.cfg_force_path in
     { device = device_name cfg.cfg_device;
       atoms = cfg.cfg_atoms;
       total_steps = cfg.cfg_steps;
@@ -1112,7 +1078,7 @@ module Runner = struct
       match device_of_name st.device with
       | Error msg -> Error msg
       | Ok device ->
-      match force_path_of_engine ~engine:st.engine ~skin:st.skin with
+      match Mdports.Force_path.decode ~engine:st.engine ~skin:st.skin with
       | Error msg -> Error msg
       | Ok force_path ->
         (* Reinstate process-global state captured at the checkpoint:

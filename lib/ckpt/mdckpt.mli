@@ -60,17 +60,10 @@ module Wire : sig
   val rlist : reader -> (reader -> 'a) -> 'a list
   val rfarr : reader -> float array
 
-  val force_portable : bool ref
-  (** Test hook: when set, {!fbuf} takes the per-element portable path
-      instead of the bulk little-endian blit.  Both produce the same
-      bytes (the wire format is little-endian either way); tests flip
-      this to prove it. *)
-
   val fbuf : Buffer.t -> Mdcore.System.buf -> unit
   (** Encode a float64 bigarray stream — same wire layout as {!farr},
-      so pre-bigarray checkpoints remain decodable.  Bulk-blits the
-      stream on little-endian hosts; falls back to per-element encoding
-      on big-endian ones (or under {!force_portable}). *)
+      so pre-bigarray checkpoints remain decodable.  Stages the stream
+      little-endian on any host and appends it in one blit. *)
 
   val rfbuf : reader -> Mdcore.System.buf -> unit
   (** Decode a float64 stream written by {!fbuf}/{!farr} directly into
@@ -86,13 +79,6 @@ val decode_container :
   magic:string -> string -> ((string * string) list, string) result
 (** Inverse of {!encode_container}; [Error] (never an exception) on bad
     magic, truncation, or a CRC mismatch. *)
-
-val write_atomic : path:string -> string -> unit
-(** Durable atomic replace: write to [path ^ ".tmp"], fsync, rename over
-    [path], fsync the directory — all through the {!Mdio} shim, so each
-    syscall is a counted crash point and a storage-fault site.  A crash
-    leaves either the old or the complete new file, never a torn write;
-    an I/O error cleans up the [.tmp] before re-raising. *)
 
 (** {1 Run state} *)
 
@@ -144,7 +130,8 @@ val decode : string -> (t, string) result
 
 val save : dir:string -> t -> string
 (** Atomically write [dir/ckpt-<completed>.mdsim] (creating [dir] as
-    needed), then GC generations beyond [t.keep] (always retaining at
+    needed) with {!Mdio.write_atomic} — tmp, fsync, rename, directory
+    fsync — then GC generations beyond [t.keep] (always retaining at
     least one).  Returns the path. *)
 
 val load : string -> (t, string) result
@@ -200,9 +187,10 @@ module Runner : sig
     cfg_density : float;
     cfg_temperature : float;
     cfg_force_path : Mdports.Force_path.t;
-        (** Serialized into the checkpoint (as engine name + skin) and
-            restored on resume, so the command line cannot change the
-            engine mid-run.  Pairlist state itself is never serialized:
+        (** Serialized into the checkpoint
+            ({!Mdports.Force_path.encode}) and restored on resume, so
+            the command line cannot change the engine mid-run.
+            Pairlist state itself is never serialized:
             every segment starts with a fresh list (rebuild forced on
             its first force evaluation), and rebuild timing does not
             change forces, so resume stays bitwise. *)

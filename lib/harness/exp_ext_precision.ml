@@ -16,10 +16,7 @@ let run ctx =
     Cell.profile_run ~steps:scale.Context.steps ~precision:Cell.Double
       ~force_path:Mdports.Force_path.brute (Context.system ctx)
   in
-  let dp =
-    Cell.time_with dp_profile
-      { Cell.default_config with precision = Cell.Double }
-  in
+  let dp = Cell.time_with dp_profile Cell.default_config in
   let t =
     Table.create ~headers:[ "Configuration"; "Runtime (s)"; "vs Opteron" ]
   in

@@ -4,11 +4,11 @@
    of recomputing hours of completed sweeps.
 
    The file (schema mdsim-manifest-v1) reuses the checkpoint layer's
-   CRC-checksummed section container and atomic tmp+fsync+rename
-   replace, so a crash mid-update leaves the previous complete manifest,
-   never a torn one.  Entries are keyed by the run configuration (scale
-   key + fault spec): a manifest written under one configuration never
-   satisfies a resume under another. *)
+   CRC-checksummed section container and [Mdio]'s atomic
+   tmp+fsync+rename replace, so a crash mid-update leaves the previous
+   complete manifest, never a torn one.  Entries are keyed by the run
+   configuration (scale key + fault spec): a manifest written under one
+   configuration never satisfies a resume under another. *)
 
 module Wire = Mdckpt.Wire
 
@@ -159,16 +159,9 @@ let load_or_create ~path ~key =
   | Ok flock ->
     let entries = Hashtbl.create 16 in
     (if Sys.file_exists path then
-       match
-         let ic = open_in_bin path in
-         Fun.protect
-           ~finally:(fun () -> close_in_noerr ic)
-           (fun () -> really_input_string ic (in_channel_length ic))
-       with
+       match In_channel.with_open_bin path In_channel.input_all with
        | exception Sys_error msg ->
          Printf.eprintf "mdsim: ignoring manifest %s: %s\n%!" path msg
-       | exception End_of_file ->
-         Printf.eprintf "mdsim: ignoring manifest %s: truncated file\n%!" path
        | data -> (
          match decode_entries data with
          | Error msg ->
@@ -210,4 +203,4 @@ let record t entry =
           (fun a b -> compare a.ent_id b.ent_id)
           (Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [])
       in
-      Mdckpt.write_atomic ~path:t.path (encode_entries es))
+      Mdio.write_atomic ~path:t.path (encode_entries es))

@@ -234,7 +234,8 @@ let write_csvs ~dir outcomes =
   List.map
     (fun (o : Experiment.outcome) ->
       let path = Filename.concat dir (o.id ^ ".csv") in
-      Mdobs.write_file ~path (Sim_util.Table.to_csv o.table);
+      Mdio.write_atomic ~fsync_dir:false ~path
+        (Sim_util.Table.to_csv o.table);
       path)
     outcomes
 

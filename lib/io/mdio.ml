@@ -235,11 +235,3 @@ let write_atomic ?(fsync_dir = true) ~path data =
   | e ->
     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
     raise e
-
-(* Route Mdobs artifact writes (reports, metrics, counters, telemetry
-   reconciliation) through the shim.  No directory fsync: write_file
-   artifacts are conveniences, not recovery inputs — but they do get
-   fsync-before-rename so a crash never publishes an empty file. *)
-let () =
-  Mdobs.set_file_writer (fun ~path contents ->
-      write_atomic ~fsync_dir:false ~path contents)

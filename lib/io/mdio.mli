@@ -1,9 +1,10 @@
 (** The durable-write shim: every write path that backs a durability
-    promise — checkpoint generations ({!Mdckpt.write_atomic}) and their
-    GC, the serve job ledger, the run manifest, telemetry streams,
-    {!Mdobs.write_file} artifacts — issues its syscalls through this
-    module, which makes the filesystem a first-class deterministically
-    faulty device in the {!Mdfault} sense.
+    promise — checkpoint generations ({!Mdckpt.save}) and their GC, the
+    serve job ledger, the run manifest, telemetry streams, and the
+    report, metrics, counters, trace and fault-log artifacts — issues
+    its syscalls through this module, which makes the filesystem a
+    first-class deterministically faulty device in the {!Mdfault}
+    sense.
 
     Three layers:
 
@@ -85,7 +86,10 @@ val write_atomic : ?fsync_dir:bool -> path:string -> string -> unit
 (** Durable atomic replace through the shim: tmp + write + fsync +
     close + rename (+ directory fsync).  On an injected or real error
     the [.tmp] is removed; on {!Crashed} it is left behind — exactly
-    what a real crash leaves — and recovery must ignore it. *)
+    what a real crash leaves — and recovery must ignore it.  Artifacts
+    that are not recovery inputs (reports, metrics, counters, traces,
+    CSVs) pass [~fsync_dir:false]: the fsync before the rename already
+    keeps a crash from publishing an empty file. *)
 
 (** {1 Sweep controls} *)
 

@@ -229,21 +229,21 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let json_string s = "\"" ^ json_escape s ^ "\""
+
 (* %.17g round-trips doubles exactly, so formatting is as deterministic
    as the value itself.  JSON has no notion of infinity/NaN; clamp to
-   strings (never produced by the instrumented sites, but the exporter
-   must not emit invalid JSON regardless). *)
+   strings so an exporter never emits invalid JSON. *)
 let json_float v =
-  if Float.is_finite v then
-    let s = Printf.sprintf "%.17g" v in
-    (* ensure a numeric token that JSON accepts (it always is for %g) *)
-    s
-  else Printf.sprintf "\"%s\"" (if v > 0.0 then "inf" else if v < 0.0 then "-inf" else "nan")
+  if Float.is_nan v then "\"nan\""
+  else if v = infinity then "\"inf\""
+  else if v = neg_infinity then "\"-inf\""
+  else Printf.sprintf "%.17g" v
 
 let json_value = function
   | Int i -> string_of_int i
   | Float f -> json_float f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> json_string s
 
 let json_args args =
   String.concat ","
@@ -367,34 +367,3 @@ let virtual_events_string () =
       end)
     (events ());
   Buffer.contents buf
-
-(* Write-to-temp, fsync, then rename: an export interrupted mid-write
-   (crash, aborted run) must never leave a truncated artifact where CI
-   or a byte-compare would read it, and the fsync keeps the rename from
-   publishing a name whose bytes are still only in the page cache.  A
-   stale .tmp from a previous crash is removed up front (open_out would
-   truncate it anyway; removing keeps failure paths from confusing it
-   with our own). *)
-let default_write_file ~path contents =
-  let tmp = path ^ ".tmp" in
-  if Sys.file_exists tmp then (try Sys.remove tmp with Sys_error _ -> ());
-  let oc = open_out tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc contents;
-         flush oc;
-         Unix.fsync (Unix.descr_of_out_channel oc))
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-(* Mdobs sits below the fault layer in the library graph, so the Mdio
-   shim cannot be called from here directly; instead Mdio's module
-   initializer installs its shimmed atomic write as the file writer.
-   Binaries that don't link Mdio keep the direct implementation. *)
-let file_writer : (path:string -> string -> unit) ref = ref default_write_file
-let set_file_writer f = file_writer := f
-let write_file ~path contents = !file_writer ~path contents

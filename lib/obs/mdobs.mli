@@ -131,14 +131,10 @@ val virtual_events_string : unit -> string
 val json_escape : string -> string
 (** JSON string escaping, shared with the metrics writers. *)
 
-val write_file : path:string -> string -> unit
-(** Atomic: writes [path ^ ".tmp"], fsyncs, then renames, so an aborted
-    run never leaves a truncated artifact at [path].  Stale [.tmp] files
-    from a previous crash are removed first. *)
+val json_string : string -> string
+(** A quoted, escaped JSON string. *)
 
-val set_file_writer : (path:string -> string -> unit) -> unit
-(** Replace the implementation behind {!write_file}.  Mdobs sits below
-    the fault-injection layer in the library graph, so the Mdio
-    write-path shim installs itself here (from its module initializer)
-    rather than being called directly — every artifact write then goes
-    through the shimmed, fault-injectable path. *)
+val json_float : float -> string
+(** A JSON number printed with [%.17g], which round-trips every finite
+    double; NaN and the infinities become the strings ["nan"], ["inf"]
+    and ["-inf"]. *)

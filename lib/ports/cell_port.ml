@@ -10,16 +10,12 @@ type config = {
   variant : Cell_variant.t;
   n_spes : int;
   launch : launch;
-  precision : precision;
-  machine : Cellbe.Config.t;
 }
 
 let default_config =
   { variant = Cell_variant.Simd_acceleration;
     n_spes = 8;
-    launch = Persistent;
-    precision = Single;
-    machine = Cellbe.Config.default }
+    launch = Persistent }
 
 (* ------------------------------------------------------------------ *)
 (* Single-precision physics                                           *)
@@ -178,7 +174,7 @@ let default_j_chunk = 8192
 let spe_kernel ~j_chunk ~(cfg : config) ~profile ~stage ~invocation ctx =
   let n = profile.n in
   (* Doubles occupy two binary32 slots in every size computation. *)
-  let word = match cfg.precision with Single -> 1 | Double -> 2 in
+  let word = match profile.precision with Single -> 1 | Double -> 2 in
   let lo, hi = slice ~n ~spes:cfg.n_spes (Machine.spe_id ctx) in
   let rows = hi - lo in
   if rows > 0 then begin
@@ -210,7 +206,7 @@ let spe_kernel ~j_chunk ~(cfg : config) ~profile ~stage ~invocation ctx =
       end
     in
     let base, hit_block =
-      match cfg.precision with
+      match profile.precision with
       | Single -> (Kernels.spe_base cfg.variant, Kernels.spe_hit cfg.variant)
       | Double -> (Kernels.spe_base_dp, Kernels.spe_hit_dp)
     in
@@ -338,7 +334,7 @@ let publish_prof ~(cfg : config) ~profile ~seconds =
     let n = profile.n in
     let invocations = Array.length profile.row_hits in
     let base, hit_block =
-      match cfg.precision with
+      match profile.precision with
       | Single -> (Kernels.spe_base cfg.variant, Kernels.spe_hit cfg.variant)
       | Double -> (Kernels.spe_base_dp, Kernels.spe_hit_dp)
     in
@@ -364,10 +360,9 @@ let publish_prof ~(cfg : config) ~profile ~seconds =
 
 let time_with ?(j_chunk = default_j_chunk) profile cfg =
   if j_chunk <= 0 then invalid_arg "Cell_port.time_with: j_chunk";
-  Cellbe.Config.validate cfg.machine;
-  if cfg.n_spes < 1 || cfg.n_spes > cfg.machine.Cellbe.Config.n_spes then
-    invalid_arg "Cell_port.time_with: n_spes out of range";
-  let machine = Machine.create cfg.machine in
+  if cfg.n_spes < 1 || cfg.n_spes > Cellbe.Config.default.Cellbe.Config.n_spes
+  then invalid_arg "Cell_port.time_with: n_spes out of range";
+  let machine = Machine.create Cellbe.Config.default in
   let n = profile.n in
   (* Scratch main-memory array standing in for the staged float data; DMA
      blits need at least 3 * j_chunk float-slots. *)
@@ -418,7 +413,7 @@ let time_with ?(j_chunk = default_j_chunk) profile cfg =
         (match cfg.launch with
         | Respawn -> "respawn"
         | Persistent -> "persistent")
-        (match cfg.precision with
+        (match profile.precision with
         | Single -> Cell_variant.name cfg.variant
         | Double -> "double precision")
         (if Option.is_some profile.plan then ", pairlist" else "");
@@ -432,12 +427,10 @@ let time_with ?(j_chunk = default_j_chunk) profile cfg =
     final_system = Some profile.final }
 
 let run ?steps ?(config = default_config) ?force_path system =
-  time_with
-    (profile_run ?steps ~precision:config.precision ?force_path system)
-    config
+  time_with (profile_run ?steps ?force_path system) config
 
-let time_ppe_only ?(machine = Cellbe.Config.default) profile =
-  let m = Machine.create machine in
+let time_ppe_only profile =
+  let m = Machine.create Cellbe.Config.default in
   let n = profile.n in
   let invocations = Array.length profile.row_hits in
   for invocation = 0 to invocations - 1 do
@@ -458,11 +451,10 @@ let time_ppe_only ?(machine = Cellbe.Config.default) profile =
     interactions = profile_hits profile;
     final_system = Some profile.final }
 
-let run_ppe_only ?steps ?machine system =
+let run_ppe_only ?steps system =
   (* The PPE-only ladder rung is a paper figure: keep it on the as-written
      N² kernel (its timing replay charges the full sweep). *)
-  time_ppe_only ?machine
-    (profile_run ?steps ~force_path:Force_path.brute system)
+  time_ppe_only (profile_run ?steps ~force_path:Force_path.brute system)
 
 let accel_seconds result =
   Run_result.breakdown_get result "compute"

@@ -13,9 +13,10 @@
       rewrites change the instruction schedule, not the values), recording
       per-row interaction counts and the energy trajectory;
     - {!time_with} replays machine accounting for any [config] against a
-      profile: SPE thread spawns/mailboxes, local-store allocation
-      (capacity-checked), DMA traffic, and per-variant pipeline cycles
-      from {!Kernels} — in seconds on the {!Cellbe.Machine} ledger.
+      profile, in the profile's precision: SPE thread spawns/mailboxes,
+      local-store allocation (capacity-checked), DMA traffic, and
+      per-variant pipeline cycles from {!Kernels} — in seconds on the
+      {!Cellbe.Machine} ledger.
 
     [run] composes the two.  Fig. 5's six variants and Fig. 6's four
     launch configurations each reuse one 2048-atom profile. *)
@@ -29,17 +30,15 @@ type precision =
 
 type config = {
   variant : Cell_variant.t;
-      (** ignored when [precision = Double]: the DP port corresponds to
-          the fully-optimized structure (there is no DP estimate ladder) *)
+      (** ignored for a [Double] profile: the DP port corresponds to the
+          fully-optimized structure (there is no DP estimate ladder) *)
   n_spes : int;
   launch : launch;
-  precision : precision;
-  machine : Cellbe.Config.t;
 }
+(** Timed on {!Cellbe.Config.default}, the paper's blade. *)
 
 val default_config : config
-(** All optimizations ([Simd_acceleration]), 8 SPEs, persistent launch,
-    single precision. *)
+(** All optimizations ([Simd_acceleration]), 8 SPEs, persistent launch. *)
 
 type profile
 
@@ -77,13 +76,13 @@ val time_with : ?j_chunk:int -> profile -> config -> Run_result.t
 
 val run : ?steps:int -> ?config:config -> ?force_path:Force_path.t ->
   Mdcore.System.t -> Run_result.t
+(** {!time_with} over a single-precision {!profile_run}. *)
 
-val run_ppe_only : ?steps:int -> ?machine:Cellbe.Config.t ->
-  Mdcore.System.t -> Run_result.t
+val run_ppe_only : ?steps:int -> Mdcore.System.t -> Run_result.t
 (** The Table 1 "Cell, PPE only" row: the same single-precision kernel
     executed entirely on the in-order PPE, no SPE offload. *)
 
-val time_ppe_only : ?machine:Cellbe.Config.t -> profile -> Run_result.t
+val time_ppe_only : profile -> Run_result.t
 (** PPE-only timing against an existing profile (avoids re-running the
     physics when the SPE configurations already profiled it). *)
 

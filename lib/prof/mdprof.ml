@@ -404,12 +404,6 @@ let derived ?(host = false) () =
 
 (* {1 Export} *)
 
-let json_float x =
-  if Float.is_nan x then "\"nan\""
-  else if x = infinity then "\"inf\""
-  else if x = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" x
-
 let clock_str = function Virtual -> "virtual" | Host -> "host"
 
 let json_of_sample b s =
@@ -422,23 +416,23 @@ let json_of_sample b s =
       (Printf.sprintf ",\"unit\":\"%s\"" (Mdobs.json_escape s.s_unit));
   (match s.s_kind with
   | Counter ->
-      Buffer.add_string b (Printf.sprintf ",\"value\":%s" (json_float s.s_value))
+      Buffer.add_string b
+        (Printf.sprintf ",\"value\":%s" (Mdobs.json_float s.s_value))
   | Gauge ->
       Buffer.add_string b
-        (Printf.sprintf ",\"value\":%s,\"high_water\":%s" (json_float s.s_value)
-           (json_float s.s_high_water))
+        (Printf.sprintf ",\"value\":%s,\"high_water\":%s"
+           (Mdobs.json_float s.s_value)
+           (Mdobs.json_float s.s_high_water))
   | Histogram ->
       Buffer.add_string b
         (Printf.sprintf ",\"observations\":%d,\"sum\":%s,\"buckets\":["
-           s.s_observations (json_float s.s_sum));
+           s.s_observations (Mdobs.json_float s.s_sum));
       List.iteri
         (fun i (bound, count) ->
           if i > 0 then Buffer.add_char b ',';
-          let le =
-            if bound = infinity then "\"inf\"" else json_float bound
-          in
           Buffer.add_string b
-            (Printf.sprintf "{\"le\":%s,\"count\":%d}" le count))
+            (Printf.sprintf "{\"le\":%s,\"count\":%d}" (Mdobs.json_float bound)
+               count))
         s.s_buckets;
       Buffer.add_char b ']');
   Buffer.add_char b '}'
@@ -458,7 +452,7 @@ let to_json ?(host = false) () =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"value\":%s,\"unit\":\"%s\"}"
-           (Mdobs.json_escape name) (json_float value)
+           (Mdobs.json_escape name) (Mdobs.json_float value)
            (Mdobs.json_escape unit_)))
     (derived ~host ());
   Buffer.add_string b "\n]}\n";

@@ -51,11 +51,7 @@ let mkdir_p dir =
   in
   go dir
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let read_opt path = if Sys.file_exists path then Some (read_file path) else None
 

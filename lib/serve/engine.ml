@@ -45,7 +45,8 @@ type job = {
   mutable j_status : string;  (* queued|running|ok|recovered|degraded|
                                  failed|cancelled *)
   mutable j_state : Mdckpt.t option;     (* in-memory between segments *)
-  mutable j_cfg : Runner.config option;  (* built lazily from the spec *)
+  j_cfg : Runner.config option;  (* the spec's run; None only for a job
+                                    adopted finished or unrunnable *)
   mutable j_completed : int;
   mutable j_attempts : int;              (* fault-death retries used *)
   mutable j_inv_retries : int;           (* invariant re-executions used *)
@@ -80,68 +81,32 @@ let live_count t =
   List.length (List.filter (fun j -> not (terminal j)) (jobs_in_order t))
 
 let job_dir t id = Filename.concat (Filename.concat t.e_cfg.cfg_dir "jobs") id
-let ckpt_dir j = Filename.concat j.j_dir "ckpt"
 let ledger_path dir = Filename.concat dir "ledger.jsonl"
 
 (* --- spec validation and runner configs --- *)
 
-let force_path_of_spec (js : Ledger.jobspec) =
-  match js.Ledger.js_engine with
-  | "n2" -> Ok Mdports.Force_path.brute
-  | "default" | "" -> Ok Mdports.Force_path.default
-  | "pairlist" ->
-    (* Mirror the CLI's admissibility check: an explicitly requested
-       pairlist must be usable under the minimum-image convention, never
-       a silent fallback. *)
-    let box =
-      Float.cbrt (float_of_int js.Ledger.js_atoms /. js.Ledger.js_density)
-    in
-    let reach =
-      Mdcore.Params.default.Mdcore.Params.cutoff +. js.Ledger.js_skin
-    in
-    if box < 2.0 *. reach then
-      Error
-        (Printf.sprintf
-           "engine pairlist needs box >= 2*(cutoff+skin) (box %.3g < %.3g)"
-           box (2.0 *. reach))
-    else Ok (Mdports.Force_path.pairlist ~skin:js.Ledger.js_skin ())
-  | other -> Error (Printf.sprintf "unknown engine %S" other)
-
-let validate_spec (js : Ledger.jobspec) =
+(* The run a spec asks for, or why it cannot go as requested.  The
+   geometry and force-engine half is [Force_path.setup], the same
+   decision the CLI makes; the skin is checked for every engine because
+   the ledger records it. *)
+let config_of_spec ~dir (js : Ledger.jobspec) =
   let err fmt = Printf.ksprintf (fun s -> Error ("invalid: " ^ s)) fmt in
-  if js.Ledger.js_atoms <= 0 then err "atoms must be positive"
-  else if js.Ledger.js_steps <= 0 then err "steps must be positive"
+  if js.Ledger.js_steps <= 0 then err "steps must be positive"
   else if js.Ledger.js_every <= 0 then err "every must be positive"
   else if js.Ledger.js_keep <= 0 then err "keep must be positive"
   else if js.Ledger.js_priority <= 0 || js.Ledger.js_priority > 64 then
     err "priority must be in 1..64"
   else if
-    (not (Float.is_finite js.Ledger.js_density))
-    || js.Ledger.js_density <= 0.0
-  then err "density must be finite and positive"
-  else if
     (not (Float.is_finite js.Ledger.js_temperature))
     || js.Ledger.js_temperature < 0.0
   then err "temperature must be finite and non-negative"
-  else if
-    (not (Float.is_finite js.Ledger.js_skin)) || js.Ledger.js_skin <= 0.0
-  then err "skin must be finite and positive"
   else if js.Ledger.js_tel_every <= 0 then err "tel_every must be positive"
-  else if
-    (* System.create's minimum-image criterion, checked here so a bad
-       geometry is a clean rejection, not a crash inside prepare *)
-    Float.cbrt (float_of_int js.Ledger.js_atoms /. js.Ledger.js_density)
-    < 2.0 *. Mdcore.Params.default.Mdcore.Params.cutoff
-  then
-    err
-      "box %.3g violates the minimum-image criterion (needs >= 2*cutoff \
-       = %g; raise atoms or lower density)"
-      (Float.cbrt (float_of_int js.Ledger.js_atoms /. js.Ledger.js_density))
-      (2.0 *. Mdcore.Params.default.Mdcore.Params.cutoff)
   else
     match
       ( Runner.device_of_name js.Ledger.js_device,
-        force_path_of_spec js,
+        Mdports.Force_path.setup ~engine:js.Ledger.js_engine
+          ~skin:js.Ledger.js_skin ~n:js.Ledger.js_atoms
+          ~density:js.Ledger.js_density (),
         (match js.Ledger.js_deadline with
         | Some d when (not (Float.is_finite d)) || d <= 0.0 ->
           Error "deadline must be finite and positive"
@@ -157,37 +122,18 @@ let validate_spec (js : Ledger.jobspec) =
     | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _
     | _, _, _, Error msg ->
       Error ("invalid: " ^ msg)
-    | Ok _, Ok _, Ok (), Ok () -> Ok ()
-
-let runner_cfg job =
-  match job.j_cfg with
-  | Some cfg -> cfg
-  | None ->
-    let js = job.j_spec in
-    let device =
-      match Runner.device_of_name js.Ledger.js_device with
-      | Ok d -> d
-      | Error msg -> failwith msg (* validated at submit *)
-    in
-    let force_path =
-      match force_path_of_spec js with
-      | Ok fp -> fp
-      | Error msg -> failwith msg
-    in
-    let cfg =
-      { Runner.cfg_device = device;
-        cfg_atoms = js.Ledger.js_atoms;
-        cfg_steps = js.Ledger.js_steps;
-        cfg_seed = js.Ledger.js_seed;
-        cfg_density = js.Ledger.js_density;
-        cfg_temperature = js.Ledger.js_temperature;
-        cfg_force_path = force_path;
-        cfg_every = js.Ledger.js_every;
-        cfg_keep = js.Ledger.js_keep;
-        cfg_dir = ckpt_dir job }
-    in
-    job.j_cfg <- Some cfg;
-    cfg
+    | Ok device, Ok force_path, Ok (), Ok () ->
+      Ok
+        { Runner.cfg_device = device;
+          cfg_atoms = js.Ledger.js_atoms;
+          cfg_steps = js.Ledger.js_steps;
+          cfg_seed = js.Ledger.js_seed;
+          cfg_density = js.Ledger.js_density;
+          cfg_temperature = js.Ledger.js_temperature;
+          cfg_force_path = force_path;
+          cfg_every = js.Ledger.js_every;
+          cfg_keep = js.Ledger.js_keep;
+          cfg_dir = Filename.concat dir "ckpt" }
 
 (* --- per-job process-global state swap --- *)
 
@@ -279,18 +225,15 @@ let finalize_done t job (r : Run_result.t) =
       "  " ^ Mdfault.summary_line fs ^ "\n"
     else ""
   in
-  Mdobs.write_file ~path:(Filename.concat job.j_dir "report.txt") report;
-  Mdobs.write_file
-    ~path:(Filename.concat job.j_dir "metrics.json")
-    (Run_result.metrics_json r);
-  if js.Ledger.js_telemetry then
-    Mdobs.write_file
-      ~path:(Filename.concat job.j_dir "counters.json")
-      (Mdprof.to_json ());
+  let write name data =
+    Mdio.write_atomic ~fsync_dir:false
+      ~path:(Filename.concat job.j_dir name) data
+  in
+  write "report.txt" report;
+  write "metrics.json" (Run_result.metrics_json r);
+  if js.Ledger.js_telemetry then write "counters.json" (Mdprof.to_json ());
   if js.Ledger.js_faults <> None then
-    Mdobs.write_file
-      ~path:(Filename.concat job.j_dir "faults.json")
-      (Mdfault.events_json ());
+    write "faults.json" (Mdfault.events_json ());
   job.j_completed <- js.Ledger.js_steps;
   set_terminal t job name;
   append_noted t
@@ -377,8 +320,8 @@ let consume_quantum t job =
 
 (* --- running one segment --- *)
 
-let reload_from_checkpoint job =
-  match Mdckpt.load_latest ~dir:(ckpt_dir job) with
+let reload_from_checkpoint (cfg : Runner.config) =
+  match Mdckpt.load_latest ~dir:cfg.Runner.cfg_dir with
   | Ok (st, _) -> Some st
   | Error _ -> None
 
@@ -386,11 +329,11 @@ let reload_from_checkpoint job =
    fault deaths and storage errors.  The restarted segment carries the
    {e post}-failure fault-stream positions: fresh draws, not a
    deterministic replay of the same death. *)
-let retry_with_backoff t job ~now ~reason =
+let retry_with_backoff t job cfg ~now ~reason =
   job.j_attempts <- job.j_attempts + 1;
   if job.j_attempts > t.e_cfg.cfg_retries then finalize_failed t job ~reason
   else
-    match reload_from_checkpoint job with
+    match reload_from_checkpoint cfg with
     | None -> finalize_failed t job ~reason
     | Some st0 ->
       job.j_state <-
@@ -409,11 +352,10 @@ let retry_with_backoff t job ~now ~reason =
            { ev_job = job.j_spec.Ledger.js_id; ev_attempt = job.j_attempts;
              ev_reason = reason })
 
-let run_segment t job ~now =
+let run_segment t job cfg ~now =
   let js = job.j_spec in
   swap_in job;
   Fun.protect ~finally:(fun () -> swap_out job) @@ fun () ->
-  let cfg = runner_cfg job in
   job.j_status <- "running";
   let budget =
     match js.Ledger.js_deadline with
@@ -497,14 +439,14 @@ let run_segment t job ~now =
         finalize_failed t job ~reason:("invariant violation: " ^ msg)
       else (
         job.j_inv_retries <- job.j_inv_retries + 1;
-        match reload_from_checkpoint job with
+        match reload_from_checkpoint cfg with
         | Some st0 -> job.j_state <- Some st0
         | None ->
           finalize_failed t job
             ~reason:("invariant violation (no checkpoint to retry): " ^ msg))
     | `Unrecovered f ->
-      retry_with_backoff t job ~now ~reason:(Mdfault.failure_message f)
-    | `Io reason -> retry_with_backoff t job ~now ~reason)
+      retry_with_backoff t job cfg ~now ~reason:(Mdfault.failure_message f)
+    | `Io reason -> retry_with_backoff t job cfg ~now ~reason)
 
 (* --- public operations --- *)
 
@@ -514,7 +456,8 @@ let tick t ~now =
     match pick t ~now with
     | None -> false
     | Some job ->
-      run_segment t job ~now;
+      (* A picked job is live, so it has a config. *)
+      Option.iter (fun cfg -> run_segment t job cfg ~now) job.j_cfg;
       true
 
 let add_job t job =
@@ -550,16 +493,16 @@ let submit t (js : Ledger.jobspec) =
     else if String.exists (fun c -> c = '/' || c = '\x00') id || id = ""
     then Error "rejected: job id must be non-empty and slash-free"
     else
-      match validate_spec js with
+      let dir = job_dir t id in
+      match config_of_spec ~dir js with
       | Error msg -> Error msg
-      | Ok () -> (
-        let dir = job_dir t id in
+      | Ok cfg -> (
         match Mdckpt.Lock.guard_dir ~dir with
         | Error msg -> Error (Printf.sprintf "rejected: %s" msg)
         | Ok lk -> (
           let job =
             { j_spec = js; j_dir = dir; j_status = "queued";
-              j_state = None; j_cfg = None; j_completed = 0;
+              j_state = None; j_cfg = Some cfg; j_completed = 0;
               j_attempts = 0; j_inv_retries = 0; j_eligible = 0.0;
               j_spent = 0.0; j_lock = Some lk; j_error = None }
           in
@@ -596,13 +539,13 @@ let job_json j =
   Printf.sprintf
     "{\"id\":%s,\"tenant\":%s,\"status\":%s,\"completed\":%d,\"total\":%d,\
      \"attempts\":%d,\"dir\":%s%s}"
-    ("\"" ^ Mdobs.json_escape js.Ledger.js_id ^ "\"")
-    ("\"" ^ Mdobs.json_escape js.Ledger.js_tenant ^ "\"")
-    ("\"" ^ Mdobs.json_escape j.j_status ^ "\"")
+    (Mdobs.json_string js.Ledger.js_id)
+    (Mdobs.json_string js.Ledger.js_tenant)
+    (Mdobs.json_string j.j_status)
     j.j_completed js.Ledger.js_steps j.j_attempts
-    ("\"" ^ Mdobs.json_escape j.j_dir ^ "\"")
+    (Mdobs.json_string j.j_dir)
     (match j.j_error with
-    | Some e -> ",\"error\":\"" ^ Mdobs.json_escape e ^ "\""
+    | Some e -> ",\"error\":" ^ Mdobs.json_string e
     | None -> "")
 
 let status_json t = function
@@ -667,33 +610,43 @@ let adopt t (v : Ledger.job_view) =
   match Mdckpt.Lock.guard_dir ~dir with
   | Error msg ->
     Printf.eprintf "mdsim: serve: cannot adopt job %s: %s\n%!" id msg
-  | Ok lk ->
-    let job =
+  | Ok lk -> (
+    let job cfg =
       { j_spec = js; j_dir = dir; j_status = "queued"; j_state = None;
-        j_cfg = None; j_completed = 0; j_attempts = v.Ledger.v_attempts;
-        j_inv_retries = 0; j_eligible = 0.0; j_spent = 0.0;
-        j_lock = Some lk; j_error = None }
+        j_cfg = cfg; j_completed = v.Ledger.v_completed;
+        j_attempts = v.Ledger.v_attempts; j_inv_retries = 0;
+        j_eligible = 0.0; j_spent = 0.0; j_lock = Some lk; j_error = None }
     in
-    (match v.Ledger.v_terminal with
+    match v.Ledger.v_terminal with
     | Some status ->
       (* already finished before the crash: keep it for status queries,
          release the lock *)
+      let job = job None in
       job.j_status <- status;
-      job.j_completed <- v.Ledger.v_completed;
       release_job_lock job;
       add_job t job
-    | None ->
-      (* Re-adopt at the newest valid checkpoint generation; corrupt or
-         torn generations fall back transparently inside load_latest.
-         A job killed before generation 0 restarts from scratch. *)
-      (match Mdckpt.load_latest ~dir:(ckpt_dir job) with
-      | Ok (st, _) ->
-        job.j_state <- Some st;
-        job.j_completed <- st.Mdckpt.completed
-      | Error _ -> ());
-      add_job t job;
-      append_noted t
-        (Ledger.Resumed { ev_job = id; ev_completed = job.j_completed }))
+    | None -> (
+      match config_of_spec ~dir js with
+      | Error reason ->
+        (* A ledger can hold a spec this build rejects (an earlier build
+           checked less): end the job rather than let its first segment
+           raise out of [tick]. *)
+        let job = job None in
+        add_job t job;
+        finalize_failed t job ~reason
+      | Ok cfg ->
+        (* Re-adopt at the newest valid checkpoint generation; corrupt or
+           torn generations fall back transparently inside load_latest.
+           A job killed before generation 0 restarts from scratch. *)
+        let job = job (Some cfg) in
+        (match Mdckpt.load_latest ~dir:cfg.Runner.cfg_dir with
+        | Ok (st, _) ->
+          job.j_state <- Some st;
+          job.j_completed <- st.Mdckpt.completed
+        | Error _ -> job.j_completed <- 0);
+        add_job t job;
+        append_noted t
+          (Ledger.Resumed { ev_job = id; ev_completed = job.j_completed })))
 
 let create cfg =
   let dir = cfg.cfg_dir in

@@ -38,12 +38,15 @@ val create : config -> (t, string) result
 (** Take the serve directory's single-writer guard and open the ledger.
     With [cfg_resume] and an existing ledger, replay it and re-adopt
     every non-terminal job at its newest valid checkpoint generation
-    (appending a [resumed] record each); without [cfg_resume], an
-    existing ledger is an [Error] — never silently forked. *)
+    (appending a [resumed] record each).  A non-terminal job whose spec
+    fails {!submit}'s validation ends [failed] with the reason instead.
+    Without [cfg_resume], an existing ledger is an [Error] — never
+    silently forked. *)
 
 val submit : t -> Ledger.jobspec -> (string * string, string) result
-(** Validate, admit (bounded queue — [Error "rejected: overload ..."]
-    when full), lock the job directory, append the [submitted] record,
+(** Validate (geometry and engine through {!Mdports.Force_path.setup}),
+    admit (bounded queue — [Error "rejected: overload ..."] when full),
+    lock the job directory, append the [submitted] record,
     and only then enqueue: an [Ok] ack means the record is durable, so
     a crash after the ack can never lose the job, and a ledger that
     cannot be written ({!Ledger.Write_failed}) is a retryable

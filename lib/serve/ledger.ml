@@ -48,26 +48,30 @@ type event =
 
 (* --- encoding --- *)
 
-let fnum = Printf.sprintf "%.17g"
-let jstr s = "\"" ^ Mdobs.json_escape s ^ "\""
-
 let spec_json js =
   Printf.sprintf
     "{\"tenant\":%s,\"priority\":%d,\"device\":%s,\"atoms\":%d,\"steps\":%d,\
      \"seed\":%d,\"density\":%s,\"temperature\":%s,\"engine\":%s,\"skin\":%s,\
      \"every\":%d,\"keep\":%d,\"faults\":%s,\"deadline\":%s,\
      \"telemetry\":%b,\"tel_every\":%d}"
-    (jstr js.js_tenant) js.js_priority (jstr js.js_device) js.js_atoms
-    js.js_steps js.js_seed (fnum js.js_density) (fnum js.js_temperature)
-    (jstr js.js_engine) (fnum js.js_skin) js.js_every js.js_keep
-    (match js.js_faults with Some s -> jstr s | None -> "null")
-    (match js.js_deadline with Some d -> fnum d | None -> "null")
+    (Mdobs.json_string js.js_tenant)
+    js.js_priority
+    (Mdobs.json_string js.js_device)
+    js.js_atoms js.js_steps js.js_seed
+    (Mdobs.json_float js.js_density)
+    (Mdobs.json_float js.js_temperature)
+    (Mdobs.json_string js.js_engine)
+    (Mdobs.json_float js.js_skin)
+    js.js_every js.js_keep
+    (match js.js_faults with Some s -> Mdobs.json_string s | None -> "null")
+    (match js.js_deadline with Some d -> Mdobs.json_float d | None -> "null")
     js.js_telemetry js.js_tel_every
 
 let body ~seq ev =
   let record kind job rest =
     Printf.sprintf "{\"schema\":%s,\"seq\":%d,\"event\":%s,\"job\":%s%s}"
-      (jstr schema) seq (jstr kind) (jstr job) rest
+      (Mdobs.json_string schema) seq (Mdobs.json_string kind)
+      (Mdobs.json_string job) rest
   in
   match ev with
   | Submitted js ->
@@ -82,22 +86,22 @@ let body ~seq ev =
   | Retrying e ->
     record "retrying" e.ev_job
       (Printf.sprintf ",\"attempt\":%d,\"reason\":%s" e.ev_attempt
-         (jstr e.ev_reason))
+         (Mdobs.json_string e.ev_reason))
   | Done e ->
     record "done" e.ev_job
-      (Printf.sprintf ",\"status\":%s,\"completed\":%d" (jstr e.ev_status)
-         e.ev_completed)
+      (Printf.sprintf ",\"status\":%s,\"completed\":%d"
+         (Mdobs.json_string e.ev_status) e.ev_completed)
   | Cancelled e ->
     record "cancelled" e.ev_job
       (Printf.sprintf ",\"completed\":%d" e.ev_completed)
   | Failed e ->
     record "failed" e.ev_job
-      (Printf.sprintf ",\"reason\":%s,\"completed\":%d" (jstr e.ev_reason)
-         e.ev_completed)
+      (Printf.sprintf ",\"reason\":%s,\"completed\":%d"
+         (Mdobs.json_string e.ev_reason) e.ev_completed)
   | Degraded e ->
     record "degraded" e.ev_job
-      (Printf.sprintf ",\"reason\":%s,\"completed\":%d" (jstr e.ev_reason)
-         e.ev_completed)
+      (Printf.sprintf ",\"reason\":%s,\"completed\":%d"
+         (Mdobs.json_string e.ev_reason) e.ev_completed)
   | Drained e ->
     record "drained" e.ev_job
       (Printf.sprintf ",\"completed\":%d" e.ev_completed)
@@ -325,11 +329,7 @@ let replay_string data =
     r_notes = List.rev !notes;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let replay_file path =
   if Sys.file_exists path then replay_string (read_file path)
@@ -363,12 +363,7 @@ type writer = {
    the final position forever: without this, appending after a crash
    would bury the torn record mid-file. *)
 let truncate_torn_tail ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match read_file path with
   | exception Sys_error _ -> ()
   | content ->
     let len = String.length content in

@@ -48,18 +48,6 @@ let current : state option ref = ref None
 let active () = !current <> None
 
 (* ------------------------------------------------------------------ *)
-(* Canonical JSON number/string printing                               *)
-(* ------------------------------------------------------------------ *)
-
-let fnum x =
-  if Float.is_nan x then "\"nan\""
-  else if x = infinity then "\"inf\""
-  else if x = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" x
-
-let jstr s = "\"" ^ Mdobs.json_escape s ^ "\""
-
-(* ------------------------------------------------------------------ *)
 (* Stream plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -105,9 +93,9 @@ let counters_fields deltas =
   let emit name value =
     if not !first then Buffer.add_char b ',';
     first := false;
-    Buffer.add_string b (jstr name);
+    Buffer.add_string b (Mdobs.json_string name);
     Buffer.add_char b ':';
-    Buffer.add_string b (fnum value)
+    Buffer.add_string b (Mdobs.json_float value)
   in
   List.iter
     (fun (s : Mdprof.sample) ->
@@ -125,9 +113,9 @@ let derived_fields deltas =
   List.iteri
     (fun i (name, value, _unit) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (jstr name);
+      Buffer.add_string b (Mdobs.json_string name);
       Buffer.add_char b ':';
-      Buffer.add_string b (fnum value))
+      Buffer.add_string b (Mdobs.json_float value))
     (Mdprof.derived_of_samples deltas);
   Buffer.contents b
 
@@ -180,17 +168,21 @@ let emit_sample st ~now =
       let line =
         Printf.sprintf
           "{\"schema\":%s,\"type\":\"sample\",\"step\":%d,\"sim_time\":%s,\"energy\":{\"pe\":%s,\"ke\":%s,\"total\":%s,\"temperature\":%s},\"momentum\":[%s,%s,%s],\"faults\":{\"injected\":%d,\"recovered\":%d},\"guard_restores\":%d,\"rebuilds\":%s,\"counters\":{%s},\"derived\":{%s},\"host\":{\"unix\":%s,\"elapsed_s\":%s,\"steps_per_s\":%s}}"
-          (jstr schema) g (fnum sim_time)
-          (fnum r.Verlet.pe) (fnum r.Verlet.ke)
-          (fnum r.Verlet.total_energy)
-          (fnum r.Verlet.temperature)
-          (fnum p.Vecmath.Vec3.x) (fnum p.Vecmath.Vec3.y)
-          (fnum p.Vecmath.Vec3.z) fs.Mdfault.injected fs.Mdfault.recoveries
-          (Mdfault.guard_restores ()) (fnum rebuilds)
+          (Mdobs.json_string schema) g (Mdobs.json_float sim_time)
+          (Mdobs.json_float r.Verlet.pe)
+          (Mdobs.json_float r.Verlet.ke)
+          (Mdobs.json_float r.Verlet.total_energy)
+          (Mdobs.json_float r.Verlet.temperature)
+          (Mdobs.json_float p.Vecmath.Vec3.x)
+          (Mdobs.json_float p.Vecmath.Vec3.y)
+          (Mdobs.json_float p.Vecmath.Vec3.z)
+          fs.Mdfault.injected fs.Mdfault.recoveries
+          (Mdfault.guard_restores ())
+          (Mdobs.json_float rebuilds)
           (counters_fields deltas) (derived_fields deltas)
-          (fnum now)
-          (fnum (now -. st.t0))
-          (fnum steps_per_s)
+          (Mdobs.json_float now)
+          (Mdobs.json_float (now -. st.t0))
+          (Mdobs.json_float steps_per_s)
       in
       push st ~step:g line;
       st.last_sample <- g;
@@ -217,7 +209,9 @@ let emit_alert st ~g ~kind ~clock ~detail ~now =
     let line =
       Printf.sprintf
         "{\"schema\":%s,\"type\":\"alert\",\"kind\":%s,\"clock\":%s,\"step\":%d,\"detail\":%s,\"host\":{\"unix\":%s}}"
-        (jstr schema) (jstr kind) (jstr clock) g (jstr detail) (fnum now)
+        (Mdobs.json_string schema) (Mdobs.json_string kind)
+        (Mdobs.json_string clock) g (Mdobs.json_string detail)
+        (Mdobs.json_float now)
     in
     push st ~step:g line;
     if clock = "virtual" && Mdobs.enabled () then
@@ -455,12 +449,7 @@ let rollback ~to_ =
    whole stream, or the boundary sample's delta would double-count the
    initial evaluation. *)
 let reconcile_file path ~completed =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> -1
   | content ->
     let kept = ref [] in
@@ -483,7 +472,8 @@ let reconcile_file path ~completed =
                | _ -> ()))
     |> ignore;
     let body = String.concat "\n" (List.rev !kept) in
-    Mdobs.write_file ~path (if body = "" then "" else body ^ "\n");
+    Mdio.write_atomic ~fsync_dir:false ~path
+      (if body = "" then "" else body ^ "\n");
     !last_sample
 
 let on_resume ~completed =

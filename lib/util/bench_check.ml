@@ -77,12 +77,7 @@ let parse_baseline ?(default_tolerance = 9.0) text =
             else Ok { schema; default_tolerance; entries })
 
 let load_baseline ?default_tolerance path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | text -> parse_baseline ?default_tolerance text
 

@@ -170,11 +170,12 @@ let test_decode_without_counters_section () =
       Alcotest.(check int) "rest of the state intact" st.Mdckpt.completed
         d.Mdckpt.completed)
 
-(* The bulk little-endian blit and the per-element portable encoder must
-   produce the same bytes — that is the whole contract that lets the
-   fast path ship the wire format unchanged.  Poison the buffers with
-   the float edge cases (negative zero, subnormal, NaN payload,
-   infinities) so the comparison is not vacuous. *)
+(* The bulk little-endian blit of a bigarray stream must produce the
+   bytes of the per-element [farr] encoding of the same values — that is
+   the whole contract that lets the blit ship the wire format unchanged,
+   whatever the host's byte order.  Poison the buffers with the float
+   edge cases (negative zero, subnormal, NaN payload, infinities) so the
+   comparison is not vacuous. *)
 let test_blit_matches_portable () =
   let st = sample_state () in
   let s = st.Mdckpt.system in
@@ -183,22 +184,25 @@ let test_blit_matches_portable () =
   s.System.vel_y.{0} <- Float.infinity;
   s.System.vel_z.{0} <- Float.neg_infinity;
   s.System.acc_y.{0} <- Int64.float_of_bits 0x7FF0_0000_DEAD_BEEFL;
-  let fast = Mdckpt.encode st in
-  Mdckpt.Wire.force_portable := true;
-  let portable =
-    Fun.protect
-      ~finally:(fun () -> Mdckpt.Wire.force_portable := false)
-      (fun () -> Mdckpt.encode st)
-  in
-  Alcotest.(check bool) "encoders byte-identical" true
-    (String.equal fast portable);
+  List.iter
+    (fun (name, (a : System.buf)) ->
+      let blit = Buffer.create 64 and portable = Buffer.create 64 in
+      Mdckpt.Wire.fbuf blit a;
+      Mdckpt.Wire.farr portable
+        (Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a));
+      Alcotest.(check string)
+        (name ^ ": encoders byte-identical")
+        (Buffer.contents portable) (Buffer.contents blit))
+    [ ("vel_x", s.System.vel_x); ("vel_y", s.System.vel_y);
+      ("vel_z", s.System.vel_z); ("acc_y", s.System.acc_y) ];
   (* Decode and re-encode: every poisoned bit pattern (including the
      NaN payload) must survive the round trip exactly. *)
-  match Mdckpt.decode portable with
+  let encoded = Mdckpt.encode st in
+  match Mdckpt.decode encoded with
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok d ->
     Alcotest.(check bool) "re-encoding bitwise" true
-      (String.equal fast (Mdckpt.encode d))
+      (String.equal encoded (Mdckpt.encode d))
 
 let test_rng_state_resumes_gaussian_cache () =
   (* The Box–Muller cache is part of the stream state: a checkpoint taken

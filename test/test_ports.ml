@@ -825,13 +825,12 @@ let test_cell_double_precision () =
     opt.Rr.records;
   (* DP compute slower than SP compute on the same workload. *)
   let sp_profile = Lazy.force shared_profile in
-  let accel precision profile =
+  let accel profile =
     Cell.accel_seconds
-      (Cell.time_with profile
-         { Cell.default_config with n_spes = 1; precision })
+      (Cell.time_with profile { Cell.default_config with n_spes = 1 })
   in
   Alcotest.(check bool) "dp compute slower" true
-    (accel Cell.Double dp_profile > accel Cell.Single sp_profile)
+    (accel dp_profile > accel sp_profile)
 
 let test_cell_dp_profile_precision () =
   let s = sys () in
@@ -958,6 +957,64 @@ let test_default_force_path_flips () =
       ("gpu", fun s -> Gpu.run ~steps:1 s);
       ("mta", fun s -> Mta.run ~steps:1 s) ]
 
+(* The largest density whose [Init.lattice_box] still reaches [bound]
+   for [n] atoms; [Float.succ] of it is the first density past the
+   bound. *)
+let edge_density ~n bound =
+  let box rho = Init.lattice_box ~n ~density:rho in
+  let rec down rho = if box rho >= bound then rho else down (Float.pred rho) in
+  let rec up rho =
+    if box (Float.succ rho) >= bound then up (Float.succ rho) else rho
+  in
+  up (down (float_of_int n /. (bound *. bound *. bound)))
+
+(* [Force_path.setup] judges a run before anything is built; it must
+   agree with the system that would be built: accept exactly when
+   [Init.build] succeeds and, for an explicit pairlist, exactly when
+   [Pairlist.admissible] holds on the built system.  The cases sit on
+   the ulp edges of 2·rc and 2·(rc+skin), where a box computed any
+   other way than [Init.lattice_box] lands on the wrong side. *)
+let test_force_path_setup_matches_system () =
+  let check_case (n, density) =
+    let built =
+      match Init.build ~n ~density () with
+      | s -> Some s
+      | exception Invalid_argument _ -> None
+    in
+    let accepted engine =
+      Result.is_ok (Mdports.Force_path.setup ?engine ~n ~density ())
+    in
+    let label engine =
+      Printf.sprintf "%s, n=%d density=%.17g"
+        (Option.value engine ~default:"no engine") n density
+    in
+    List.iter
+      (fun engine ->
+        Alcotest.(check bool) (label engine) (built <> None) (accepted engine))
+      [ None; Some "default"; Some "n2" ];
+    let listed =
+      match built with Some s -> Pairlist.admissible s | None -> false
+    in
+    Alcotest.(check bool) (label (Some "pairlist")) listed
+      (accepted (Some "pairlist"));
+    (built <> None, listed)
+  in
+  List.iter
+    (fun case -> ignore (check_case case))
+    [ (100, 0.8); (125, 1.0); (150, 0.76878920824962094) ];
+  let cutoff = Mdcore.Params.default.Mdcore.Params.cutoff in
+  let reach = cutoff +. Pairlist.default_skin in
+  List.iter
+    (fun (n, bound) ->
+      let rho = edge_density ~n bound in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: density %.17g and the next one straddle %g" n
+           rho bound)
+        true
+        (check_case (n, rho) <> check_case (n, Float.succ rho)))
+    [ (100, 2.0 *. cutoff); (128, 2.0 *. cutoff);
+      (150, 2.0 *. reach); (300, 2.0 *. reach) ]
+
 let record_bits (r : Verlet.step_record) =
   ( r.Verlet.step,
     List.map Int64.bits_of_float
@@ -981,9 +1038,10 @@ let test_gather_ports_pairlist_bitwise () =
       pl.Rr.interactions
   in
   let cell_dp force_path =
-    Cell.run ~steps ~force_path
-      ~config:{ Cell.default_config with precision = Cell.Double }
-      (Init.build ~seed:31 ~n ())
+    Cell.time_with
+      (Cell.profile_run ~steps ~precision:Cell.Double ~force_path
+         (Init.build ~seed:31 ~n ()))
+      Cell.default_config
   in
   let mta force_path = Mta.run ~steps ~force_path (Init.build ~seed:31 ~n ()) in
   check "cell" (fun force_path ->
@@ -1137,6 +1195,8 @@ let tests =
       Alcotest.test_case "mta breakdown sums" `Quick test_mta_breakdown_sums;
       Alcotest.test_case "default force path flips" `Quick
         test_default_force_path_flips;
+      Alcotest.test_case "force path setup = built system" `Quick
+        test_force_path_setup_matches_system;
       Alcotest.test_case "gather ports pairlist bitwise" `Quick
         test_gather_ports_pairlist_bitwise;
       Alcotest.test_case "pairlist faster on every port" `Slow

@@ -22,12 +22,12 @@ let fresh_dir () =
   dir
 
 let spec ?(id = "j1") ?(tenant = "default") ?(priority = 1) ?(atoms = 128)
-    ?(steps = 12) ?(every = 4) ?(seed = 11) ?faults ?deadline
-    ?(telemetry = false) () =
+    ?(density = 0.8) ?(engine = "default") ?(skin = 0.4) ?(steps = 12)
+    ?(every = 4) ?(seed = 11) ?faults ?deadline ?(telemetry = false) () =
   { Ledger.js_id = id; js_tenant = tenant; js_priority = priority;
     js_device = "opteron"; js_atoms = atoms; js_steps = steps;
-    js_seed = seed; js_density = 0.8; js_temperature = 1.0;
-    js_engine = "default"; js_skin = 0.4; js_every = every; js_keep = 8;
+    js_seed = seed; js_density = density; js_temperature = 1.0;
+    js_engine = engine; js_skin = skin; js_every = every; js_keep = 8;
     js_faults = faults; js_deadline = deadline; js_telemetry = telemetry;
     js_tel_every = every }
 
@@ -254,6 +254,57 @@ let test_engine_admission_control () =
   | Ok _ -> Alcotest.fail "draining submit must be rejected"
   | Error _ -> ());
   Engine.shutdown eng
+
+(* Two shapes an earlier daemon acked: a box one ulp below 2·cutoff
+   (its first segment raised out of [tick]) and an explicit pairlist on a
+   box one ulp below 2·(cutoff+skin) (it silently ran N²). *)
+let unrunnable_specs () =
+  [ spec ~id:"u1" ~atoms:100 ();
+    spec ~id:"u2" ~atoms:150 ~density:0.76878920824962094 ~engine:"pairlist"
+      () ]
+
+let test_engine_rejects_unrunnable_geometry () =
+  let dir = fresh_dir () in
+  let eng = engine dir in
+  let before = read_file (Filename.concat dir "ledger.jsonl") in
+  List.iter
+    (fun js ->
+      match Engine.submit eng js with
+      | Ok _ -> Alcotest.failf "%s must be rejected" js.Ledger.js_id
+      | Error msg ->
+        Alcotest.(check bool)
+          (js.Ledger.js_id ^ " invalid: " ^ msg)
+          true
+          (String.length msg >= 8 && String.sub msg 0 8 = "invalid:"))
+    (* The ledger records the skin, so a non-finite one is refused for
+       every engine, n2 included. *)
+    (spec ~id:"u3" ~engine:"n2" ~skin:Float.nan () :: unrunnable_specs ());
+  Alcotest.(check string) "ledger unchanged" before
+    (read_file (Filename.concat dir "ledger.jsonl"));
+  Alcotest.(check bool) "nothing to run" false (Engine.tick eng ~now:0.0);
+  Engine.shutdown eng
+
+let test_engine_fails_unrunnable_on_adopt () =
+  let dir = fresh_dir () in
+  let w =
+    Ledger.open_writer ~path:(Filename.concat dir "ledger.jsonl") ~next_seq:0
+  in
+  List.iter (fun js -> Ledger.append w (Ledger.Submitted js))
+    (unrunnable_specs ());
+  Ledger.close_writer w;
+  let eng = engine ~resume:true dir in
+  List.iter
+    (fun js ->
+      Alcotest.(check string) (js.Ledger.js_id ^ " failed") "failed"
+        (job_status eng js.Ledger.js_id))
+    (unrunnable_specs ());
+  Alcotest.(check bool) "tick idles" false (Engine.tick eng ~now:0.0);
+  Engine.shutdown eng;
+  Alcotest.(check int) "failed records" 2
+    (List.length
+       (List.filter
+          (function Ledger.Failed _ -> true | _ -> false)
+          (ledger_events dir)))
 
 let test_engine_deadline_degrades () =
   let dir = fresh_dir () in
@@ -503,6 +554,10 @@ let tests =
         test_engine_cancel_mid_run;
       Alcotest.test_case "engine admission control" `Quick
         test_engine_admission_control;
+      Alcotest.test_case "engine rejects unrunnable geometry" `Quick
+        test_engine_rejects_unrunnable_geometry;
+      Alcotest.test_case "engine fails unrunnable on adopt" `Quick
+        test_engine_fails_unrunnable_on_adopt;
       Alcotest.test_case "engine deadline degrades" `Quick
         test_engine_deadline_degrades;
       Alcotest.test_case "engine retry exhaustion fails" `Quick
