@@ -417,19 +417,6 @@ let test_ablation_io =
                  Mdio.write h io_payload;
                  Mdio.fsync h))) ]
 
-let test_substrates =
-  let rng = Sim_util.Rng.create 7 in
-  let seq_a = Seqalign.Dna.random rng ~length:64 in
-  let seq_b = Seqalign.Dna.random rng ~length:64 in
-  Test.make_grouped ~name:"substrates"
-    [ Test.make ~name:"smith-waterman-scalar"
-        (Staged.stage (fun () -> Seqalign.Reference.align seq_a seq_b));
-      Test.make ~name:"smith-waterman-mta-wavefront"
-        (Staged.stage (fun () ->
-             Seqalign.Mta_sw.align
-               ~machine:(Mta.Machine.create (Mta.Config.mta2 ()))
-               seq_a seq_b)) ]
-
 let all_tests =
   Test.make_grouped ~name:"repro"
     [ test_table1; test_fig5; test_fig6; test_fig7; test_fig8; test_fig9;
@@ -437,7 +424,7 @@ let all_tests =
       test_ablation_pool; test_ablation_pairlist_build; test_ablation_skin;
       test_pairlist_vs_brute; test_ablation_obs;
       test_ablation_fault; test_ablation_ckpt; test_ablation_tel;
-      test_ablation_io; test_substrates ]
+      test_ablation_io ]
 
 (* Bechamel sampling config, surfaced in the results metadata so a
    baseline records how many samples produced it. *)

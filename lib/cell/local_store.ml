@@ -38,16 +38,12 @@ let reset t =
   t.generation <- t.generation + 1
 
 let used_bytes t = t.used
-let capacity_bytes t = t.capacity
-
 let check_live b =
   if b.born <> b.store.generation then
     invalid_arg
       (Printf.sprintf "Local_store: buffer %S used after reset" b.buf_name)
 
 let length b = Array.length b.data
-let name b = b.buf_name
-
 let get b i =
   check_live b;
   b.data.(i)
@@ -55,10 +51,6 @@ let get b i =
 let set b i v =
   check_live b;
   b.data.(i) <- round v
-
-let fill b v =
-  check_live b;
-  Array.fill b.data 0 (Array.length b.data) (round v)
 
 let blit_from_array ~src ~src_pos ~dst ~dst_pos ~len =
   check_live dst;

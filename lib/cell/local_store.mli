@@ -23,15 +23,12 @@ val reset : t -> unit
     [Invalid_argument]. *)
 
 val used_bytes : t -> int
-val capacity_bytes : t -> int
 
 val length : buffer -> int
-val name : buffer -> string
 val get : buffer -> int -> float
 val set : buffer -> int -> float -> unit
 (** Rounds the value to binary32. *)
 
-val fill : buffer -> float -> unit
 val blit_from_array : src:float array -> src_pos:int -> dst:buffer ->
   dst_pos:int -> len:int -> unit
 (** Copy doubles in, rounding each to binary32 (what a DMA of float data

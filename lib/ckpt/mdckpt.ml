@@ -2,7 +2,6 @@ module Rng = Sim_util.Rng
 module System = Mdcore.System
 module Params = Mdcore.Params
 module Verlet = Mdcore.Verlet
-module Thermostat = Mdcore.Thermostat
 module Run_result = Mdports.Run_result
 
 let schema = "mdsim-checkpoint-v1"
@@ -175,8 +174,6 @@ type t = {
   guard_restores : int;
   system : System.t;
   progress : progress;
-  thermostat : Thermostat.csvr_state option;
-  rngs : (string * Rng.state) list;
   fault : Mdfault.state option;
   counters : Mdprof.cell_state list option;
 }
@@ -286,17 +283,6 @@ let dec_rng_state r =
   let bits = Wire.ri64 r in
   let cached = Wire.ropt r Wire.rf64 in
   { Rng.bits; cached }
-
-let enc_thermostat buf (ts : Thermostat.csvr_state) =
-  Wire.f64 buf ts.Thermostat.csvr_target;
-  Wire.f64 buf ts.Thermostat.csvr_tau;
-  enc_rng_state buf ts.Thermostat.csvr_rng
-
-let dec_thermostat r =
-  let csvr_target = Wire.rf64 r in
-  let csvr_tau = Wire.rf64 r in
-  let csvr_rng = dec_rng_state r in
-  { Thermostat.csvr_target; csvr_tau; csvr_rng }
 
 let enc_site buf site = Wire.str buf (Mdfault.site_name site)
 
@@ -490,28 +476,29 @@ let decode_container ~magic:m data =
   | Corrupt msg -> Error msg
   | Invalid_argument msg -> Error msg
 
+(* The format's sections for named auxiliary RNG streams and a
+   thermostat.  No run has ever had either, so both are always written
+   empty (a zero-length list, an absent option), which keeps every
+   checkpoint's bytes; [decode] refuses a file with anything else in
+   them, since resuming it would silently drop that state. *)
+let empty_sections =
+  [ ("rng", payload_of (fun buf () -> Wire.list buf (fun _ () -> ()) []) ());
+    ("thermostat",
+     payload_of (fun buf () -> Wire.opt buf (fun _ () -> ()) None) ()) ]
+
 let encode st =
   let sections =
     [ ("meta", payload_of enc_meta st);
       ("system", payload_of enc_system st.system);
-      ("progress", payload_of enc_progress st.progress);
-      ("rng",
-       payload_of
-         (fun buf rngs ->
-           Wire.list buf
-             (fun buf (name, s) ->
-               Wire.str buf name;
-               enc_rng_state buf s)
-             rngs)
-         st.rngs);
-      ("thermostat", payload_of (fun buf -> Wire.opt buf enc_thermostat) st.thermostat);
-      ("faults", payload_of (fun buf -> Wire.opt buf enc_fault) st.fault);
-      (* Virtual-clock Mdprof cells, sorted by name — deterministic
-         bytes, so checkpoint files stay byte-comparable across runs. *)
-      ("counters",
-       payload_of
-         (fun buf -> Wire.opt buf (fun buf -> Wire.list buf enc_cell))
-         st.counters) ]
+      ("progress", payload_of enc_progress st.progress) ]
+    @ empty_sections
+    @ [ ("faults", payload_of (fun buf -> Wire.opt buf enc_fault) st.fault);
+        (* Virtual-clock Mdprof cells, sorted by name — deterministic
+           bytes, so checkpoint files stay byte-comparable across runs. *)
+        ("counters",
+         payload_of
+           (fun buf -> Wire.opt buf (fun buf -> Wire.list buf enc_cell))
+           st.counters) ]
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
@@ -576,13 +563,11 @@ let decode data =
       let system = dec_system (get "system") in
       if system.System.n <> atoms then raise (Corrupt "atom count mismatch");
       let progress = dec_progress (get "progress") in
-      let rngs =
-        Wire.rlist (get "rng") (fun r ->
-            let name = Wire.rstr r in
-            let s = dec_rng_state r in
-            (name, s))
-      in
-      let thermostat = Wire.ropt (get "thermostat") dec_thermostat in
+      List.iter
+        (fun (name, empty) ->
+          if (get name).Wire.data <> empty then
+            raise (Corrupt (Printf.sprintf "section %S is not empty" name)))
+        empty_sections;
       let fault = Wire.ropt (get "faults") dec_fault in
       (* Optional section: checkpoints written before counters were
          serialized simply lack it and decode to [None]. *)
@@ -595,7 +580,7 @@ let decode data =
       Ok
         { device; atoms; total_steps; completed; seed; density; temperature;
           engine; skin; every; keep; guard_restores; system; progress;
-          thermostat; rngs; fault; counters }
+          fault; counters }
     end
   with
   | Corrupt msg -> Error msg
@@ -937,8 +922,6 @@ module Runner = struct
       guard_restores = Mdfault.guard_restores ();
       system;
       progress = empty_progress;
-      thermostat = None;
-      rngs = [];
       fault = Mdfault.capture_state ();
       counters = Mdprof.capture_cells () }
 

@@ -7,11 +7,16 @@
     ([mdsim-checkpoint-v1]) written atomically (tmp + fsync + rename +
     directory fsync) with a CRC-32 per section, capturing the {e full}
     deterministic state of a run — the SoA system, the accumulated
-    virtual clocks and trajectory records, thermostat and named RNG
-    stream states, and the complete fault-plan state (per-stream PRNG
-    positions, counters, event logs).  A killed run resumed from its
-    newest valid generation converges {e bitwise} to the uninterrupted
-    run, at any [--domains] value, with or without an active fault plan.
+    virtual clocks and trajectory records, the complete fault-plan state
+    (per-stream PRNG positions, counters, event logs) and the
+    virtual-clock counters.  A killed run resumed from its newest valid
+    generation converges {e bitwise} to the uninterrupted run, at any
+    [--domains] value, with or without an active fault plan.
+
+    The format also reserves an [rng] section (named auxiliary RNG
+    streams) and a [thermostat] section.  No run has either, so both are
+    always written empty, and {!decode} refuses a file whose sections
+    are not: resuming it would silently drop that state.
 
     Execution is segmented: {!Runner} drives the selected port in
     [every]-step segments, carrying the final system state across
@@ -92,8 +97,6 @@ type progress = {
   device_label : string;          (** [Run_result.device] of the last segment *)
 }
 
-val empty_progress : progress
-
 type t = {
   device : string;                (** CLI device name, e.g. ["cell-1spe"] *)
   atoms : int;
@@ -109,9 +112,6 @@ type t = {
   guard_restores : int;
   system : Mdcore.System.t;
   progress : progress;
-  thermostat : Mdcore.Thermostat.csvr_state option;
-  rngs : (string * Sim_util.Rng.state) list;
-      (** named auxiliary RNG streams *)
   fault : Mdfault.state option;
   counters : Mdprof.cell_state list option;
       (** virtual-clock Mdprof instrument state ({!Mdprof.capture_cells});
@@ -124,7 +124,8 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 (** Parse and validate; [Error] with a one-line reason on wrong magic,
-    truncation, CRC mismatch, or inconsistent contents. *)
+    truncation, CRC mismatch, inconsistent contents, or a non-empty
+    [rng] or [thermostat] section. *)
 
 (** {1 Durable files} *)
 

@@ -20,13 +20,6 @@ val build : ?seed:int -> ?density:float -> ?temperature:float ->
     violates the minimum-image criterion (i.e. [n] too small for the
     density/cutoff combination) or any parameter is nonpositive. *)
 
-val maxwell_velocities : System.t -> temperature:float -> Sim_util.Rng.t ->
-  unit
-(** Redraw all velocities at the given temperature and remove the net
-    momentum. *)
-
-val remove_net_momentum : System.t -> unit
-
 val relax : System.t -> iterations:int -> max_step:float -> unit
 (** Capped steepest-descent relaxation (used by [build] to defuse the
     sub-σ pairs a thinned lattice can contain).  Forces come from

@@ -23,8 +23,6 @@ let total_momentum (s : System.t) =
   Vecmath.Vec3.scale s.System.params.Params.mass
     (Vecmath.Vec3.make !px !py !pz)
 
-let total_energy s ~pe = kinetic_energy s +. pe
-
 let bin_centers ~bins ~rmax =
   if bins <= 0 then invalid_arg "Observables.bin_centers: bins";
   let dr = rmax /. float_of_int bins in
@@ -60,48 +58,3 @@ let radial_distribution (s : System.t) ~bins ~rmax =
       let ideal = float_of_int n /. 2.0 *. rho *. shell in
       if ideal = 0.0 then 0.0 else float_of_int c /. ideal)
     counts
-
-
-let check_snapshots = function
-  | [] -> invalid_arg "Observables: empty snapshot list"
-  | first :: rest as all ->
-    List.iter
-      (fun (s : System.t) ->
-        if s.System.n <> first.System.n then
-          invalid_arg "Observables: snapshot size mismatch")
-      rest;
-    all
-
-(* Unnormalized <v(0) . v(k)> averaged over atoms. *)
-let vacf_raw snapshots =
-  let snapshots = Array.of_list (check_snapshots snapshots) in
-  let first = snapshots.(0) in
-  let n = first.System.n in
-  Array.map
-    (fun (s : System.t) ->
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc :=
-          !acc
-          +. (first.System.vel_x.{i} *. s.System.vel_x.{i})
-          +. (first.System.vel_y.{i} *. s.System.vel_y.{i})
-          +. (first.System.vel_z.{i} *. s.System.vel_z.{i})
-      done;
-      !acc /. float_of_int n)
-    snapshots
-
-let velocity_autocorrelation snapshots =
-  let raw = vacf_raw snapshots in
-  let c0 = raw.(0) in
-  if c0 = 0.0 then raw else Array.map (fun c -> c /. c0) raw
-
-let diffusion_coefficient snapshots ~dt =
-  if dt <= 0.0 then invalid_arg "Observables.diffusion_coefficient: dt";
-  let raw = vacf_raw snapshots in
-  let k = Array.length raw in
-  if k < 2 then invalid_arg "Observables.diffusion_coefficient: need >= 2 snapshots";
-  let integral = ref 0.0 in
-  for i = 0 to k - 2 do
-    integral := !integral +. (0.5 *. (raw.(i) +. raw.(i + 1)) *. dt)
-  done;
-  !integral /. 3.0

@@ -10,10 +10,7 @@ val temperature : System.t -> float
     remove one atom's worth of degrees of freedom). *)
 
 val total_momentum : System.t -> Vecmath.Vec3.t
-(** Σ m·v — conserved (≈0 after {!Init.maxwell_velocities}). *)
-
-val total_energy : System.t -> pe:float -> float
-(** KE + PE for a PE the force engine just returned. *)
+(** Σ m·v — conserved (≈0 after {!Init.build}). *)
 
 val radial_distribution : System.t -> bins:int -> rmax:float -> float array
 (** g(r): the pair-correlation histogram over [\[0, rmax)], normalized so
@@ -25,13 +22,3 @@ val radial_distribution : System.t -> bins:int -> rmax:float -> float array
 val bin_centers : bins:int -> rmax:float -> float array
 (** The r value at each bin's midpoint, for plotting alongside
     {!radial_distribution}. *)
-
-val velocity_autocorrelation : System.t list -> float array
-(** Normalized velocity autocorrelation function from a list of
-    trajectory snapshots (equal [n], chronological):
-    C(k) = <v(0)·v(k)> / <v(0)·v(0)>, so C(0) = 1.  Raises on an empty
-    list or mismatched sizes. *)
-
-val diffusion_coefficient : System.t list -> dt:float -> float
-(** Green–Kubo estimate D = (1/3) ∫ <v(0)·v(t)> dt over the snapshot
-    window (trapezoidal rule, [dt] = time between snapshots). *)

@@ -193,8 +193,6 @@ let pool_of t =
 
 let reach_of t = t.system.System.params.Params.cutoff +. t.skin
 
-let skin t = t.skin
-
 let neighbour_count t =
   Array.fold_left (fun acc a -> acc + Array.length a) 0 t.neighbours
 

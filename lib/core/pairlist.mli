@@ -65,8 +65,6 @@ val axis_cells : box:float -> width:float -> int
     cell grid of the build strategy above; raises [Invalid_argument]
     unless [width > 0]. *)
 
-val skin : t -> float
-
 val engine : t -> Engine.t
 (** An engine bound to this list's bookkeeping.  The engine must only be
     used with the system the list was created for (checked).

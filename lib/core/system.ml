@@ -74,9 +74,6 @@ let restore ~dst ~src =
   b src.acc_x dst.acc_x; b src.acc_y dst.acc_y; b src.acc_z dst.acc_z
 
 let position t i = Vec3.make t.pos_x.{i} t.pos_y.{i} t.pos_z.{i}
-let velocity t i = Vec3.make t.vel_x.{i} t.vel_y.{i} t.vel_z.{i}
-let acceleration t i = Vec3.make t.acc_x.{i} t.acc_y.{i} t.acc_z.{i}
-
 (* Fold a coordinate into [0, box).  A single fmod plus correction is
    enough because the integrator moves atoms far less than a box length
    per step; arbitrary inputs are handled for robustness.  A tiny

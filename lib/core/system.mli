@@ -55,8 +55,6 @@ val restore : dst:t -> src:t -> unit
     recovery.  Requires equal [n]. *)
 
 val position : t -> int -> Vecmath.Vec3.t
-val velocity : t -> int -> Vecmath.Vec3.t
-val acceleration : t -> int -> Vecmath.Vec3.t
 val set_position : t -> int -> Vecmath.Vec3.t -> unit
 (** Wraps into the box. *)
 

@@ -9,78 +9,3 @@ let rescale s ~target =
   if target < 0.0 then invalid_arg "Thermostat.rescale: negative target";
   let current = Observables.temperature s in
   if current > 0.0 then scale_velocities s (sqrt (target /. current))
-
-let berendsen s ~target ~tau =
-  if target < 0.0 then invalid_arg "Thermostat.berendsen: negative target";
-  if tau <= 0.0 then invalid_arg "Thermostat.berendsen: tau must be positive";
-  let current = Observables.temperature s in
-  if current > 0.0 then begin
-    let dt = s.System.params.Params.dt in
-    let lambda2 = 1.0 +. (dt /. tau *. ((target /. current) -. 1.0)) in
-    (* Guard against pathological overshoot on tiny tau or cold systems. *)
-    let lambda2 = Float.max 0.25 (Float.min 4.0 lambda2) in
-    scale_velocities s (sqrt lambda2)
-  end
-
-(* Stochastic velocity rescaling (a simplified canonical-sampling
-   variant of Bussi et al. 2007): Berendsen's deterministic relaxation
-   plus a noise term sized so temperature fluctuates with the canonical
-   variance instead of being damped flat.  Carries a private RNG, which
-   makes it the one stateful thermostat — its state must travel in
-   checkpoints for bitwise resume. *)
-type csvr = { cv_target : float; cv_tau : float; cv_rng : Sim_util.Rng.t }
-
-let csvr ?(seed = 1234) ~target ~tau () =
-  if target < 0.0 then invalid_arg "Thermostat.csvr: negative target";
-  if tau <= 0.0 then invalid_arg "Thermostat.csvr: tau must be positive";
-  { cv_target = target; cv_tau = tau; cv_rng = Sim_util.Rng.create seed }
-
-let csvr_apply cv (s : System.t) =
-  let current = Observables.temperature s in
-  if current > 0.0 && cv.cv_target > 0.0 then begin
-    let dt = s.System.params.Params.dt in
-    let c = dt /. cv.cv_tau in
-    let nf = float_of_int (3 * (s.System.n - 1)) in
-    let xi = Sim_util.Rng.gaussian cv.cv_rng in
-    let ratio = cv.cv_target /. current in
-    let lambda2 =
-      1.0 +. (c *. (ratio -. 1.0))
-      +. (2.0 *. sqrt (c *. ratio /. nf) *. xi)
-    in
-    let lambda2 = Float.max 0.25 (Float.min 4.0 lambda2) in
-    scale_velocities s (sqrt lambda2)
-  end
-
-type csvr_state = {
-  csvr_target : float;
-  csvr_tau : float;
-  csvr_rng : Sim_util.Rng.state;
-}
-
-let csvr_state cv =
-  { csvr_target = cv.cv_target;
-    csvr_tau = cv.cv_tau;
-    csvr_rng = Sim_util.Rng.state cv.cv_rng }
-
-let csvr_of_state st =
-  { cv_target = st.csvr_target;
-    cv_tau = st.csvr_tau;
-    cv_rng = Sim_util.Rng.of_state st.csvr_rng }
-
-let equilibrate_csvr s ~engine ~csvr:cv ~steps () =
-  if steps < 0 then invalid_arg "Thermostat.equilibrate_csvr: steps < 0";
-  Verlet.run s ~engine ~steps
-    ~record:(fun r -> if r.Verlet.step > 0 then csvr_apply cv s)
-    ()
-
-let equilibrate s ~engine ~target ~steps ?tau () =
-  if steps < 0 then invalid_arg "Thermostat.equilibrate: steps < 0";
-  let tau =
-    match tau with
-    | Some t -> t
-    | None -> 20.0 *. s.System.params.Params.dt
-  in
-  Verlet.run s ~engine ~steps
-    ~record:(fun r ->
-      if r.Verlet.step > 0 then berendsen s ~target ~tau)
-    ()

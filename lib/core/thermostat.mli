@@ -1,54 +1,9 @@
-(** Temperature control for NVT-style runs.
+(** Temperature control: exact velocity rescaling.
 
-    The paper's kernel is pure NVE (no thermostat), but any downstream
-    user equilibrating a system needs one; these are the two standard
-    weak-coupling schemes. *)
+    The paper's kernel is pure NVE (no thermostat); rescaling is what an
+    example uses to heat or quench a system between NVE segments. *)
 
 val rescale : System.t -> target:float -> unit
 (** Velocity rescaling: scale all velocities so the instantaneous
     temperature equals [target] exactly.  No-op on a zero-temperature
     system.  [target] must be nonnegative. *)
-
-val berendsen : System.t -> target:float -> tau:float -> unit
-(** One Berendsen weak-coupling step: velocities scale by
-    sqrt(1 + (dt/tau)(target/T - 1)), relaxing T toward [target] with
-    time constant [tau] (> 0, in reduced time units).  Gentler than
-    {!rescale}; the standard equilibration choice. *)
-
-val equilibrate : System.t -> engine:Engine.t -> target:float ->
-  steps:int -> ?tau:float -> unit -> Verlet.step_record list
-(** Integrate [steps] velocity-Verlet steps applying a Berendsen step
-    after each (default [tau] = 20·dt), returning the records.  Leaves
-    the system near [target] temperature. *)
-
-(** {1 Stochastic velocity rescaling (CSVR)}
-
-    A simplified canonical-sampling thermostat (after Bussi, Donadio &
-    Parrinello 2007): the Berendsen relaxation plus a Gaussian noise
-    term sized for canonical temperature fluctuations.  Unlike
-    {!rescale}/{!berendsen} it is {e stateful} — it owns an RNG — so it
-    is the thermostat whose state checkpoints must carry for bitwise
-    resume. *)
-
-type csvr
-
-val csvr : ?seed:int -> target:float -> tau:float -> unit -> csvr
-(** Fresh thermostat (default [seed] 1234).  [target >= 0], [tau > 0]. *)
-
-val csvr_apply : csvr -> System.t -> unit
-(** One stochastic rescaling step; advances the thermostat RNG by one
-    Gaussian draw.  λ² is clamped to [\[0.25, 4\]] like {!berendsen}. *)
-
-type csvr_state = {
-  csvr_target : float;
-  csvr_tau : float;
-  csvr_rng : Sim_util.Rng.state;
-}
-(** Serializable snapshot: configuration plus exact RNG position. *)
-
-val csvr_state : csvr -> csvr_state
-val csvr_of_state : csvr_state -> csvr
-
-val equilibrate_csvr : System.t -> engine:Engine.t -> csvr:csvr ->
-  steps:int -> unit -> Verlet.step_record list
-(** Like {!equilibrate} but driven by a [csvr] thermostat. *)

@@ -30,13 +30,6 @@ val step : System.t -> engine:Engine.t -> float
     (guaranteed after {!prepare} or a previous [step]).  Returns the new
     PE. *)
 
-val half_kick : System.t -> unit
-(** v += a·Δt/2 — exposed so ports that offload only the force evaluation
-    can drive the integration themselves, as the paper's PPE/CPU does. *)
-
-val drift : System.t -> unit
-(** x += v·Δt, with periodic re-wrap. *)
-
 (** {1 Invariant guard}
 
     Retry layers only catch {e detected} faults; silent corruption (a

@@ -2,12 +2,6 @@
     visualization tool (VMD, OVITO, ...) reads, so runs from this library
     can be inspected with standard tooling. *)
 
-val write_frame : ?element:string -> ?comment:string -> out_channel ->
-  System.t -> unit
-(** Append one frame: the atom count line, a comment line, then one
-    "EL x y z" line per atom (positions in reduced units; pass a
-    [comment] like "t = 0.40" to tag frames). *)
-
 val write_trajectory : path:string -> ?element:string ->
   frames:System.t list -> unit -> unit
 (** Write a whole trajectory file (frames are snapshots, e.g. collected

@@ -57,7 +57,6 @@ val io_sites : site list
 (** The storage sites consulted by the {!Mdio} write-path shim; opt-in
     per site, never part of ["all"]. *)
 
-val all_sites : site list
 val site_name : site -> string
 (** "cell-dma", "cell-mailbox", "gpu-pcie", "gpu-texture", "mta-retry",
     "mem-bitflip", "io-short-write", "io-eio", "io-enospc",
@@ -76,9 +75,6 @@ type policy = {
   watchdog_limit : int;     (** consecutive faulted sync ops before the
                                 MTA livelock watchdog fires *)
 }
-
-val default_policy : policy
-(** 4 retries, 1 us base backoff, x2 multiplier, watchdog at 64. *)
 
 type spec = {
   seed : int;

@@ -14,9 +14,6 @@
     configuration string (scale key + fault spec), so a manifest from a
     different configuration never satisfies a resume. *)
 
-val schema : string
-(** ["mdsim-manifest-v1"]. *)
-
 type entry = {
   ent_id : string;            (** experiment id *)
   ent_key : string;           (** configuration key at record time *)
@@ -25,9 +22,6 @@ type entry = {
   ent_faults : Mdfault.summary;
   ent_outcome : Experiment.outcome;
 }
-
-val reusable : entry -> bool
-(** [true] for [ok]/[recovered] entries — the ones a resumed run skips. *)
 
 type t
 
@@ -54,5 +48,3 @@ val entry_count : t -> int
 
 (**/**)
 
-val encode_entries : entry list -> string
-val decode_entries : string -> (entry list, string) result

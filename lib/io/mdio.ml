@@ -34,8 +34,6 @@ let override_crash : int option ref = ref None
 
 let op_count () = Atomic.get ops
 let alive () = not !dead_flag
-let revive () = dead_flag := false
-
 let set_crash_point k = override_crash := k
 
 let reset () =
@@ -201,15 +199,11 @@ let dirsync path =
     | exception Unix.Unix_error _ -> ()
   end
 
-let fsync_dir = dirsync
-
 let remove path =
   if not !dead_flag then begin
     boundary ();
     Unix.unlink path
   end
-
-let crash_point () = if not !dead_flag then boundary ()
 
 (* ------------------------------------------------------------------ *)
 (* Atomic file replace                                                 *)

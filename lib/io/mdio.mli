@@ -28,7 +28,7 @@
       dropped — unwind-time finalizers (telemetry close, artifact
       writes) cannot persist anything a real kill -9 would not have —
       though {!close} still releases descriptors so the in-process
-      sweep does not leak them.  {!revive} brings the shim back for the
+      sweep does not leak them.  {!reset} brings the shim back for the
       recovery run. *)
 
 exception Crashed of int
@@ -66,21 +66,9 @@ val truncate : t -> int -> unit
 val size : t -> int
 (** Current file size via [fstat] (uncounted, unfaulted). *)
 
-val rename : src:string -> dst:string -> unit
-(** One [Rename] op; fault site [io-rename-fail]. *)
-
-val fsync_dir : string -> unit
-(** Open + fsync + close of a directory, errors swallowed (best-effort,
-    matching the historical checkpoint behaviour).  One [Dir_fsync]
-    op. *)
-
 val remove : string -> unit
 (** [unlink]; raises {!Unix.Unix_error} on failure.  One [Remove] op
     (counted for the crash sweep; no fault site of its own). *)
-
-val crash_point : unit -> unit
-(** An explicit op boundary with no syscall — lets a writer expose a
-    kill point between two logical phases.  One [Crash_point] op. *)
 
 val write_atomic : ?fsync_dir:bool -> path:string -> string -> unit
 (** Durable atomic replace through the shim: tmp + write + fsync +
@@ -104,5 +92,3 @@ val set_crash_point : int option -> unit
     plan's [io-crash-point]. *)
 
 val alive : unit -> bool
-val revive : unit -> unit
-(** Clear the dead flag (the op counter keeps running). *)

@@ -9,11 +9,6 @@
     fragments takes [n * cycles_per_fragment / pipes] cycles of shader
     core time. *)
 
-val issue_cost : Op.t -> float
-(** Issue slots consumed by one op in one pipeline.  Vector (4-wide) ops
-    cost the same as scalar ones — the hardware is natively 4-wide, which
-    is exactly why the paper packs x,y,z(,PE) into one register. *)
-
 val cycles_per_fragment : Block.t -> float
 (** Sum of issue costs; raises on blocks containing [Store]s beyond one
     output write or on data-dependent branches (modelled as both-sides

@@ -34,8 +34,6 @@ let create ~line_bytes ~sets ~ways =
     misses = 0 }
 
 let capacity_bytes t = t.line_bytes * t.sets * t.ways
-let line_bytes t = t.line_bytes
-
 type outcome = Hit | Miss
 
 let block_of t addr =

@@ -14,7 +14,6 @@ val create : line_bytes:int -> sets:int -> ways:int -> t
     hardware). *)
 
 val capacity_bytes : t -> int
-val line_bytes : t -> int
 
 type outcome = Hit | Miss
 

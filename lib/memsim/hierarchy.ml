@@ -61,8 +61,6 @@ let create cfg =
     prof = make_prof ();
     ft_bitflip = Mdfault.stream Mdfault.Mem_bitflip "mem" }
 
-let config t = t.cfg
-
 let access t addr =
   let cost =
     match Cache.access t.l1 addr with
@@ -109,13 +107,3 @@ let total_cycles t = t.total_cycles
 let average_cycles t =
   let n = accesses t in
   if n = 0 then 0.0 else float_of_int t.total_cycles /. float_of_int n
-
-let reset_stats t =
-  Cache.reset_stats t.l1;
-  Cache.reset_stats t.l2;
-  t.total_cycles <- 0
-
-let flush t =
-  Cache.flush t.l1;
-  Cache.flush t.l2;
-  t.total_cycles <- 0

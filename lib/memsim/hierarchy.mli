@@ -23,7 +23,6 @@ val opteron_2_2ghz : config
     1 MB 16-way L2, ~3/12/200-cycle access costs at 2.2 GHz. *)
 
 val create : config -> t
-val config : t -> config
 
 val access : t -> int -> int
 (** [access t addr] returns the cycle cost of a load at byte address
@@ -35,5 +34,3 @@ val total_cycles : t -> int
 (** Sum of all costs charged since creation or the last [reset]. *)
 
 val average_cycles : t -> float
-val reset_stats : t -> unit
-val flush : t -> unit

@@ -15,5 +15,3 @@ let alloc t ~bytes ~align =
   aligned
 
 let alloc_float_array t ~n = alloc t ~bytes:(n * 8) ~align:64
-
-let used_bytes t = t.cursor - t.base

@@ -18,4 +18,3 @@ val alloc_float_array : t -> n:int -> int
 (** Convenience: [n] doubles, 64-byte (cache-line) aligned — the layout a
     C [posix_memalign]'d array of doubles would get. *)
 
-val used_bytes : t -> int

@@ -74,10 +74,6 @@ let access t addr =
 let hits t = t.hits
 let misses t = t.misses
 
-let miss_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total
-
 let reach_bytes t = t.entries * (1 lsl t.page_bits)
 
 let flush t =

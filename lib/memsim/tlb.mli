@@ -19,7 +19,6 @@ val access : t -> int -> int
 
 val hits : t -> int
 val misses : t -> int
-val miss_rate : t -> float
 val reach_bytes : t -> int
 (** [entries * page_bytes] — the address range the TLB can cover. *)
 

@@ -18,9 +18,6 @@ val all : t list
 val name : t -> string
 (** The paper's bar label. *)
 
-val rank : t -> int
-(** Position in the ladder, [Original] = 0. *)
-
 val includes : t -> t -> bool
 (** [includes v rung] — does variant [v] contain optimization [rung]?
     (Cumulative ladder: true iff [rank rung <= rank v].) *)

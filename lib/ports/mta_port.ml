@@ -57,8 +57,8 @@ let run ?(steps = 10) ?(mode = Fully_multithreaded)
         in
         (* In the fully multithreaded version the PE reduction lives
            inside the loop body as a full/empty-bit accumulate; each
-           interaction performs one synchronized update, a
-           [Sync_cell.fetch_add]: two sync operations. *)
+           interaction performs one synchronized update, a readfe then a
+           writeef of the accumulator: two sync operations. *)
         let pe, hits =
           Machine.charged_region m ~loop:(pair_loop mode) ~n:pairs
             ~f:(fun () ->

@@ -19,8 +19,6 @@
 
 type mode = Fully_multithreaded | Partially_multithreaded
 
-val mode_name : mode -> string
-
 val run : ?steps:int -> ?mode:mode -> ?machine:Mta.Config.t ->
   ?force_path:Force_path.t -> Mdcore.System.t -> Run_result.t
 (** Default mode: fully multithreaded; default machine: 1-processor

@@ -30,8 +30,6 @@ val energy_drift : t -> float
 val breakdown_get : t -> string -> float
 (** 0.0 when the category is absent. *)
 
-val pp_summary : Format.formatter -> t -> unit
-
 val render_summary : t -> string
 (** The canonical human-readable run report (summary line, non-zero
     breakdown categories, energy line, virtual runtime) — the exact

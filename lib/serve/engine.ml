@@ -35,10 +35,6 @@ type config = {
   cfg_resume : bool;    (* replay an existing ledger instead of failing *)
 }
 
-let default_config ~dir =
-  { cfg_dir = dir; cfg_max_queue = 64; cfg_retries = 2; cfg_backoff_s = 0.05;
-    cfg_resume = false }
-
 type job = {
   j_spec : Ledger.jobspec;
   j_dir : string;                        (* jobs/<id>, artifacts land here *)

@@ -30,8 +30,6 @@ type config = {
   cfg_resume : bool;     (** replay an existing ledger instead of failing *)
 }
 
-val default_config : dir:string -> config
-
 type t
 
 val create : config -> (t, string) result

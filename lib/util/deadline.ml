@@ -16,8 +16,6 @@ type budget = { expires_at : float; seconds : float }
 let key : budget option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let active () = Atomic.get active_budgets > 0
-
 let check () =
   if Atomic.get active_budgets > 0 then
     match !(Domain.DLS.get key) with
@@ -36,9 +34,3 @@ let with_budget ~seconds f =
       Atomic.decr active_budgets;
       slot := saved)
     f
-
-let expire_now () =
-  let slot = Domain.DLS.get key in
-  match !slot with
-  | None -> ()
-  | Some b -> slot := Some { b with expires_at = neg_infinity }

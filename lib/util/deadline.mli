@@ -27,10 +27,3 @@ val check : unit -> unit
 (** Raise {!Expired} if this domain is past its deadline; free when no
     budget is armed anywhere in the process. *)
 
-val active : unit -> bool
-(** Whether any domain currently holds a budget. *)
-
-val expire_now : unit -> unit
-(** Force this domain's current budget (if any) to be already expired — the
-    next {!check} raises.  Test hook: lets suites exercise expiry without
-    sleeping. *)

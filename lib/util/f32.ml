@@ -7,10 +7,6 @@ let sub a b = round (a -. b)
 let mul a b = round (a *. b)
 let div a b = round (a /. b)
 let sqrt x = round (Stdlib.sqrt x)
-let neg x = -.x
-
-let madd a b c = round (mul a b +. c)
-
 let copysign mag sgn = Float.copy_sign mag sgn
 
 (* One Newton-Raphson step on top of a truncated estimate mimics the SPE's

@@ -21,13 +21,6 @@ val sub : float -> float -> float
 val mul : float -> float -> float
 val div : float -> float -> float
 val sqrt : float -> float
-val neg : float -> float
-
-val madd : float -> float -> float -> float
-(** [madd a b c] = round (round(a*b) + c): the SPE has fused multiply-add
-    hardware but the paper's compiler-generated code issues separate
-    rounds; we model the separate-rounding form, which is the conservative
-    choice for reproducing its numerics. *)
 
 val copysign : float -> float -> float
 (** [copysign mag sgn] — the branch-elimination primitive from the paper's

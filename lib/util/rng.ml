@@ -12,10 +12,6 @@ type state = { bits : int64; cached : float option }
 let state t = { bits = t.state; cached = t.cached_gauss }
 let of_state s = { state = s.bits; cached_gauss = s.cached }
 
-let set_state t s =
-  t.state <- s.bits;
-  t.cached_gauss <- s.cached
-
 (* SplitMix64 finalizer: two xor-shift-multiply rounds. *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))

@@ -31,9 +31,6 @@ val state : t -> state
 val of_state : state -> t
 (** [of_state s] is a generator that resumes exactly at [s]. *)
 
-val set_state : t -> state -> unit
-(** [set_state t s] rewinds (or fast-forwards) [t] to [s] in place. *)
-
 val split : t -> t
 (** [split t] derives a statistically independent generator and advances
     [t].  Used to give each subsystem its own stream so that adding draws in

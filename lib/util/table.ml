@@ -30,9 +30,6 @@ let fmt_seconds s =
   else if a < 1.0 then Printf.sprintf "%.3f ms" (s *. 1e3)
   else Printf.sprintf "%.3f s" s
 
-let add_float_row t label ?(fmt = fmt_sig4) xs =
-  add_row t (label :: List.map fmt xs)
-
 let row_count t = List.length t.rows
 let headers t = t.headers
 let rows t = t.rows

@@ -14,9 +14,6 @@ val create : headers:string list -> t
     have exactly as many cells as there are headers. *)
 
 val add_row : t -> string list -> unit
-val add_float_row : t -> string -> ?fmt:(float -> string) -> float list -> unit
-(** [add_float_row t label xs] adds a row whose first cell is [label] and
-    remaining cells are formatted floats (default: 4 significant digits). *)
 
 val row_count : t -> int
 

@@ -2,13 +2,10 @@ type t = { x : float; y : float; z : float }
 
 let zero = { x = 0.0; y = 0.0; z = 0.0 }
 let make x y z = { x; y; z }
-let splat v = { x = v; y = v; z = v }
 
 let add a b = { x = a.x +. b.x; y = a.y +. b.y; z = a.z +. b.z }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y; z = a.z -. b.z }
-let neg a = { x = -.a.x; y = -.a.y; z = -.a.z }
 let scale k a = { x = k *. a.x; y = k *. a.y; z = k *. a.z }
-let mul a b = { x = a.x *. b.x; y = a.y *. b.y; z = a.z *. b.z }
 
 let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
 
@@ -24,12 +21,6 @@ let normalize a =
   let n = norm a in
   if n = 0.0 then invalid_arg "Vec3.normalize: zero vector";
   scale (1.0 /. n) a
-
-let dist2 a b = norm2 (sub a b)
-
-let map f a = { x = f a.x; y = f a.y; z = f a.z }
-let map2 f a b = { x = f a.x b.x; y = f a.y b.y; z = f a.z b.z }
-let fold f acc a = f (f (f acc a.x) a.y) a.z
 
 let lerp a b u = add a (scale u (sub b a))
 

@@ -9,15 +9,10 @@ type t = { x : float; y : float; z : float }
 
 val zero : t
 val make : float -> float -> float -> t
-val splat : float -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val scale : float -> t -> t
-val mul : t -> t -> t
-(** Component-wise product. *)
-
 val dot : t -> t -> float
 val cross : t -> t -> t
 val norm2 : t -> float
@@ -26,11 +21,6 @@ val norm2 : t -> float
 val norm : t -> float
 val normalize : t -> t
 (** Raises [Invalid_argument] on the zero vector. *)
-
-val dist2 : t -> t -> float
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val lerp : t -> t -> float -> t
 (** [lerp a b u] = a + u*(b-a). *)

@@ -5,11 +5,7 @@ type t = { a : float; b : float; c : float; d : float }
 let make a b c d =
   { a = F32.round a; b = F32.round b; c = F32.round c; d = F32.round d }
 
-let splat v = make v v v v
-let zero = splat 0.0
-
-let of_vec3 (v : Vec3.t) ~w = make v.x v.y v.z w
-let to_vec3 v = Vec3.make v.a v.b v.c
+let zero = make 0.0 0.0 0.0 0.0
 
 let lane v i =
   match i with
@@ -28,80 +24,4 @@ let with_lane v i x =
   | 3 -> { v with d = x }
   | _ -> invalid_arg "Vec4f.with_lane: index out of range"
 
-let x v = v.a
-let y v = v.b
-let z v = v.c
 let w v = v.d
-
-let map2 f u v = { a = f u.a v.a; b = f u.b v.b; c = f u.c v.c; d = f u.d v.d }
-let map f v = { a = f v.a; b = f v.b; c = f v.c; d = f v.d }
-
-let add = map2 F32.add
-let sub = map2 F32.sub
-let mul = map2 F32.mul
-let div = map2 F32.div
-let neg = map F32.neg
-let sqrt = map F32.sqrt
-
-let madd u v w = { a = F32.madd u.a v.a w.a; b = F32.madd u.b v.b w.b;
-                   c = F32.madd u.c v.c w.c; d = F32.madd u.d v.d w.d }
-
-let nmsub u v w =
-  { a = F32.sub w.a (F32.mul u.a v.a);
-    b = F32.sub w.b (F32.mul u.b v.b);
-    c = F32.sub w.c (F32.mul u.c v.c);
-    d = F32.sub w.d (F32.mul u.d v.d) }
-
-let recip_est = map F32.recip_est
-let rsqrt_est = map F32.rsqrt_est
-let min = map2 Stdlib.min
-let max = map2 Stdlib.max
-let abs = map abs_float
-let copysign = map2 F32.copysign
-let floor = map (fun x -> F32.round (Float.floor x))
-
-let round_nearest =
-  map (fun x -> F32.round (Float.round x))
-
-type mask = { ma : bool; mb : bool; mc : bool; md : bool }
-
-let cmp f u v = { ma = f u.a v.a; mb = f u.b v.b; mc = f u.c v.c; md = f u.d v.d }
-let cmp_gt = cmp ( > )
-let cmp_lt = cmp ( < )
-let cmp_ge = cmp ( >= )
-let cmp_le = cmp ( <= )
-let mask_all m = m.ma && m.mb && m.mc && m.md
-let mask_any m = m.ma || m.mb || m.mc || m.md
-
-let mask_lane m i =
-  match i with
-  | 0 -> m.ma
-  | 1 -> m.mb
-  | 2 -> m.mc
-  | 3 -> m.md
-  | _ -> invalid_arg "Vec4f.mask_lane: index out of range"
-
-let select m ~if_true ~if_false =
-  { a = (if m.ma then if_true.a else if_false.a);
-    b = (if m.mb then if_true.b else if_false.b);
-    c = (if m.mc then if_true.c else if_false.c);
-    d = (if m.md then if_true.d else if_false.d) }
-
-let shuffle v (i, j, k, l) = make (lane v i) (lane v j) (lane v k) (lane v l)
-
-let hsum3 v = F32.add (F32.add v.a v.b) v.c
-let hsum4 v = F32.add (hsum3 v) v.d
-let dot3 u v = hsum3 (mul u v)
-
-let equal ?(eps = 0.0) u v =
-  let close a b = abs_float (a -. b) <= eps in
-  close u.a v.a && close u.b v.b && close u.c v.c && close u.d v.d
-
-let to_array v = [| v.a; v.b; v.c; v.d |]
-
-let of_array arr =
-  match arr with
-  | [| a; b; c; d |] -> make a b c d
-  | _ -> invalid_arg "Vec4f.of_array: expected 4 elements"
-
-let pp fmt v = Format.fprintf fmt "(%g, %g, %g, %g)" v.a v.b v.c v.d

@@ -48,6 +48,11 @@ let suspended = function
   | Runner.Suspended s -> s
   | Runner.Complete _ -> Alcotest.fail "expected suspension, run completed"
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* Bitwise equality of everything a run reports: the trajectory records
    (exact float compare), the virtual clock, the ledger, the work
    counts.  This is the acceptance bar for resume. *)
@@ -85,12 +90,6 @@ let test_crc32_vectors () =
 
 let sample_state () =
   let system = Mdcore.Init.build ~seed:3 ~n:128 () in
-  let rng = Rng.create 77 in
-  ignore (Rng.gaussian rng);
-  (* odd draw count leaves the Box–Muller cache full *)
-  let cv =
-    Mdcore.Thermostat.csvr ~seed:5 ~target:1.0 ~tau:0.05 ()
-  in
   { Mdckpt.device = "opteron";
     atoms = 128;
     total_steps = 8;
@@ -113,8 +112,6 @@ let sample_state () =
           [ { Verlet.step = 0; sim_time = 0.0; pe = -1.5; ke = 0.75;
               total_energy = -0.75; temperature = 1.0 } ];
         device_label = "Opteron 2.2 GHz" };
-    thermostat = Some (Mdcore.Thermostat.csvr_state cv);
-    rngs = [ ("aux", Rng.state rng) ];
     fault = None;
     counters =
       Some
@@ -141,10 +138,6 @@ let test_roundtrip () =
       (st.Mdckpt.system.System.vel_y = d.Mdckpt.system.System.vel_y);
     Alcotest.(check bool) "progress bitwise" true
       (st.Mdckpt.progress = d.Mdckpt.progress);
-    Alcotest.(check bool) "thermostat round trip" true
-      (st.Mdckpt.thermostat = d.Mdckpt.thermostat);
-    Alcotest.(check bool) "rng stream round trip" true
-      (st.Mdckpt.rngs = d.Mdckpt.rngs);
     Alcotest.(check bool) "counters round trip" true
       (st.Mdckpt.counters = d.Mdckpt.counters)
 
@@ -203,6 +196,57 @@ let test_blit_matches_portable () =
   | Ok d ->
     Alcotest.(check bool) "re-encoding bitwise" true
       (String.equal encoded (Mdckpt.encode d))
+
+(* The rng and thermostat sections are always written empty.  A file
+   that carries an RNG stream or a thermostat there is refused: a resume
+   would silently drop that state. *)
+let test_nonempty_reserved_section_rejected () =
+  let magic = Mdckpt.schema ^ "\n" in
+  let sections =
+    match Mdckpt.decode_container ~magic (Mdckpt.encode (sample_state ())) with
+    | Ok sections -> sections
+    | Error msg -> Alcotest.failf "container decode failed: %s" msg
+  in
+  let rng_state buf =
+    Mdckpt.Wire.i64 buf 77;
+    Mdckpt.Wire.opt buf Mdckpt.Wire.f64 (Some 0.5)
+  in
+  let filled =
+    [ ("rng",
+       fun buf ->
+         Mdckpt.Wire.list buf
+           (fun buf () ->
+             Mdckpt.Wire.str buf "aux";
+             rng_state buf)
+           [ () ]);
+      ("thermostat",
+       fun buf ->
+         Mdckpt.Wire.opt buf
+           (fun buf () ->
+             Mdckpt.Wire.f64 buf 1.0;
+             Mdckpt.Wire.f64 buf 0.05;
+             rng_state buf)
+           (Some ())) ]
+  in
+  List.iter
+    (fun (name, fill) ->
+      let payload =
+        let buf = Buffer.create 64 in
+        fill buf;
+        Buffer.contents buf
+      in
+      let data =
+        Mdckpt.encode_container ~magic
+          (List.map
+             (fun (n, p) -> (n, if n = name then payload else p))
+             sections)
+      in
+      match Mdckpt.decode data with
+      | Ok _ -> Alcotest.failf "a non-empty %s section was accepted" name
+      | Error msg ->
+        Alcotest.(check bool) (name ^ ": names the section") true
+          (contains msg name))
+    filled
 
 let test_rng_state_resumes_gaussian_cache () =
   (* The Box–Muller cache is part of the stream state: a checkpoint taken
@@ -461,11 +505,6 @@ let test_runner_deadline_suspends () =
     suspended
       (Runner.run ~deadline:1e-4 (cfg ~atoms:200 ~steps:400 ~every:50 ~dir ()))
   in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "reason names the deadline" true
     (contains s.Runner.sus_reason "deadline");
   Alcotest.(check bool) "durable checkpoint for resume" true
@@ -554,14 +593,7 @@ let test_manifest_second_writer_rejected () =
   (match Harness.Manifest.load_or_create ~path ~key:"k1" with
   | Ok _ -> Alcotest.fail "second manifest writer should have been rejected"
   | Error msg ->
-    let contains sub =
-      let n = String.length sub and m = String.length msg in
-      let rec go i =
-        i + n <= m && (String.sub msg i n = sub || go (i + 1))
-      in
-      go 0
-    in
-    Alcotest.(check bool) "error mentions lock" true (contains "lock"));
+    Alcotest.(check bool) "error mentions lock" true (contains msg "lock"));
   Harness.Manifest.close m;
   let m2 = open_manifest ~path ~key:"k1" in
   Harness.Manifest.close m2
@@ -629,6 +661,8 @@ let tests =
         test_decode_without_counters_section;
       Alcotest.test_case "blit encoder matches portable" `Quick
         test_blit_matches_portable;
+      Alcotest.test_case "non-empty rng or thermostat section rejected" `Quick
+        test_nonempty_reserved_section_rejected;
       Alcotest.test_case "rng gaussian cache resumes" `Quick
         test_rng_state_resumes_gaussian_cache;
       Alcotest.test_case "corrupt byte rejected" `Quick

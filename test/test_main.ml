@@ -14,7 +14,6 @@ let () =
       Test_obs.tests;
       Test_prof.tests;
       Test_ports.tests;
-      Test_seqalign.tests;
       Test_calibration.tests;
       Test_fault.tests;
       Test_harness.tests;

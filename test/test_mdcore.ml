@@ -881,36 +881,11 @@ let test_thermostat_rescale_preserves_momentum () =
   Alcotest.(check bool) "momentum still ~0" true
     (Vec3.norm (Observables.total_momentum s) < 1e-9)
 
-let test_thermostat_berendsen_relaxes () =
-  let s = small_system () in
-  Mdcore.Thermostat.rescale s ~target:0.5;
-  let gap_before = abs_float (Observables.temperature s -. 1.2) in
-  Mdcore.Thermostat.berendsen s ~target:1.2 ~tau:(10.0 *. p.Params.dt);
-  let gap_after = abs_float (Observables.temperature s -. 1.2) in
-  Alcotest.(check bool) "moves toward target" true (gap_after < gap_before)
-
-let test_thermostat_equilibrate () =
-  let s = small_system ~n:216 () in
-  let _ =
-    Mdcore.Thermostat.equilibrate s ~engine:Forces.gather_engine ~target:0.9
-      ~steps:120 ()
-  in
-  let t = Observables.temperature s in
-  Alcotest.(check bool)
-    (Printf.sprintf "equilibrated near 0.9 (got %.3f)" t)
-    true
-    (abs_float (t -. 0.9) < 0.15)
-
 let test_thermostat_validation () =
   let s = small_system () in
   Alcotest.(check bool) "negative target rejected" true
     (try
        Mdcore.Thermostat.rescale s ~target:(-1.0);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "zero tau rejected" true
-    (try
-       Mdcore.Thermostat.berendsen s ~target:1.0 ~tau:0.0;
        false
      with Invalid_argument _ -> true)
 
@@ -937,57 +912,6 @@ let test_xyz_malformed () =
            ignore (Mdcore.Xyz.frame_count ~path);
            false
          with Failure _ -> true))
-
-let test_vacf_starts_at_one () =
-  let s = small_system () in
-  let snapshots = ref [] in
-  ignore
-    (Verlet.run s ~engine:Forces.gather_engine ~steps:10
-       ~record:(fun _ -> snapshots := Mdcore.System.copy s :: !snapshots)
-       ());
-  let vacf = Observables.velocity_autocorrelation (List.rev !snapshots) in
-  Alcotest.(check (float 1e-12)) "C(0) = 1" 1.0 vacf.(0);
-  Alcotest.(check bool) "decorrelates in a dense fluid" true
-    (vacf.(10) < 0.999)
-
-let test_vacf_free_particles_constant () =
-  (* No forces: velocities never change, so C(k) = 1 for all k. *)
-  let s = small_system () in
-  let idle = Mdcore.Engine.make ~name:"free" ~compute:(fun sys ->
-      Mdcore.System.clear_accelerations sys;
-      0.0)
-  in
-  let snapshots = ref [] in
-  ignore
-    (Verlet.run s ~engine:idle ~steps:5
-       ~record:(fun _ -> snapshots := Mdcore.System.copy s :: !snapshots)
-       ());
-  let vacf = Observables.velocity_autocorrelation (List.rev !snapshots) in
-  Array.iter
-    (fun c -> Alcotest.(check (float 1e-12)) "ballistic: C = 1" 1.0 c)
-    vacf
-
-let test_diffusion_positive_in_fluid () =
-  let s = Init.build ~seed:37 ~n:216 ~temperature:1.4 () in
-  let snapshots = ref [] in
-  ignore
-    (Verlet.run s ~engine:Forces.gather_engine ~steps:30
-       ~record:(fun _ -> snapshots := Mdcore.System.copy s :: !snapshots)
-       ());
-  let d =
-    Observables.diffusion_coefficient (List.rev !snapshots)
-      ~dt:p.Params.dt
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "D > 0 in a hot fluid (got %.4f)" d)
-    true (d > 0.0)
-
-let test_vacf_validation () =
-  Alcotest.(check bool) "empty list rejected" true
-    (try
-       ignore (Observables.velocity_autocorrelation []);
-       false
-     with Invalid_argument _ -> true)
 
 (* A property: potential energy is invariant under global translation. *)
 let translation_invariance_prop =
@@ -1087,19 +1011,10 @@ let tests =
         test_thermostat_rescale_exact;
       Alcotest.test_case "rescale preserves momentum" `Quick
         test_thermostat_rescale_preserves_momentum;
-      Alcotest.test_case "berendsen relaxes" `Quick
-        test_thermostat_berendsen_relaxes;
-      Alcotest.test_case "equilibrate" `Slow test_thermostat_equilibrate;
       Alcotest.test_case "thermostat validation" `Quick
         test_thermostat_validation;
       Alcotest.test_case "xyz roundtrip" `Quick test_xyz_roundtrip;
       Alcotest.test_case "xyz malformed" `Quick test_xyz_malformed;
-      Alcotest.test_case "vacf starts at one" `Quick test_vacf_starts_at_one;
-      Alcotest.test_case "vacf free particles" `Quick
-        test_vacf_free_particles_constant;
-      Alcotest.test_case "diffusion positive" `Quick
-        test_diffusion_positive_in_fluid;
-      Alcotest.test_case "vacf validation" `Quick test_vacf_validation;
       qcheck translation_invariance_prop;
       Alcotest.test_case "pairlist full stats = gather bitwise" `Quick
         test_full_stats_matches_gather_bitwise;

@@ -5,7 +5,6 @@ module Config = Mta.Config
 module Ledger = Mta.Ledger
 module Loop = Mta.Loop
 module Machine = Mta.Machine
-module Sync_cell = Mta.Sync_cell
 module Op = Isa.Op
 module Block = Isa.Block
 
@@ -121,53 +120,19 @@ let test_xmt_nonuniform_penalty () =
     Alcotest.(check bool) "nonuniform latency visible" true
       (sx *. 500e6 > float_of_int (3 + 150)))
 
-(* ---------------- Sync cells ---------------- *)
-
-let test_sync_cell_protocol () =
-  let m = Machine.create cfg in
-  let c = Sync_cell.create_full m 1.5 in
-  Alcotest.(check bool) "full" true (Sync_cell.is_full c);
-  Alcotest.(check (float 0.0)) "readfe" 1.5 (Sync_cell.readfe c);
-  Alcotest.(check bool) "now empty" false (Sync_cell.is_full c);
-  Sync_cell.writeef c 2.5;
-  Alcotest.(check (float 0.0)) "readff" 2.5 (Sync_cell.readff c)
-
-let test_sync_cell_violations () =
-  let m = Machine.create cfg in
-  let c = Sync_cell.create_empty m in
-  Alcotest.(check bool) "readfe on empty raises" true
-    (try
-       ignore (Sync_cell.readfe c);
-       false
-     with Sync_cell.Protocol_violation _ -> true);
-  Sync_cell.writeef c 1.0;
-  Alcotest.(check bool) "writeef on full raises" true
-    (try
-       Sync_cell.writeef c 2.0;
-       false
-     with Sync_cell.Protocol_violation _ -> true)
-
-let test_sync_cell_fetch_add () =
-  let m = Machine.create cfg in
-  let c = Sync_cell.create_full m 0.0 in
-  for i = 1 to 10 do
-    ignore (Sync_cell.fetch_add c (float_of_int i))
-  done;
-  Alcotest.(check (float 1e-12)) "sum" 55.0 (Sync_cell.readff c)
+(* ---------------- Full/empty-bit sync ---------------- *)
 
 let test_sync_charges_time () =
   let m = Machine.create cfg in
-  let c = Sync_cell.create_full m 0.0 in
-  ignore (Sync_cell.fetch_add c 1.0);
+  Machine.charge_sync_op m;
   Alcotest.(check bool) "sync time accounted" true
     (Ledger.get (Machine.ledger m) Ledger.Sync > 0.0)
 
 let test_sync_cheaper_inside_parallel_region () =
   let cost_in_region ~loop =
     let m = Machine.create cfg in
-    let c = Sync_cell.create_full m 0.0 in
     Machine.charged_region m ~loop ~n:1000 ~f:(fun () ->
-        ignore (Sync_cell.fetch_add c 1.0));
+        Machine.charge_sync_op m);
     Ledger.get (Machine.ledger m) Ledger.Sync
   in
   Alcotest.(check bool) "contention amortized across streams" true
@@ -253,10 +218,6 @@ let tests =
       Alcotest.test_case "serial category" `Quick test_for_loop_serial_category;
       Alcotest.test_case "xmt nonuniform penalty" `Quick
         test_xmt_nonuniform_penalty;
-      Alcotest.test_case "sync cell protocol" `Quick test_sync_cell_protocol;
-      Alcotest.test_case "sync cell violations" `Quick
-        test_sync_cell_violations;
-      Alcotest.test_case "sync cell fetch_add" `Quick test_sync_cell_fetch_add;
       Alcotest.test_case "sync charges time" `Quick test_sync_charges_time;
       Alcotest.test_case "sync cheaper in parallel region" `Quick
         test_sync_cheaper_inside_parallel_region;
