@@ -79,7 +79,6 @@ let create cfg =
     ft_dma = Mdfault.stream Mdfault.Cell_dma "cell";
     ft_mailbox = Mdfault.stream Mdfault.Cell_mailbox "cell" }
 
-let config t = t.cfg
 let time t = t.wall
 let ledger t = t.ledger
 

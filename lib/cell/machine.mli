@@ -19,7 +19,6 @@
 type t
 
 val create : Config.t -> t
-val config : t -> Config.t
 
 val time : t -> float
 (** Virtual wall-clock seconds accrued so far. *)

@@ -52,8 +52,11 @@ let run ctx =
   (* The cutoff is fixed while N grows, so the interacting fraction (and
      with it the per-pair cost mix) shifts between the smallest sizes on
      every device; the cache signature is that the Opteron's excess over
-     the MTA peaks at the largest size, where the arrays have outgrown
-     the L1. *)
+     the MTA peaks at the largest size.  There the three position arrays
+     (96 KB) have outgrown the 64 KB L1, and at 4096 atoms each spans
+     32 KB, one way of the 2-way L1, so x[j], y[j] and z[j] map to one
+     set and every access misses L1: set conflicts, not capacity, set
+     the top point. *)
   let excess_peaks_at_top =
     let excesses = List.map (fun (_, m, o, _) -> o /. m) rows in
     let top = List.nth excesses (List.length excesses - 1) in

@@ -55,14 +55,8 @@ let create cfg =
     prof = make_prof ();
     ft_retry = Mdfault.stream Mdfault.Mta_retry "mta" }
 
-let config t = t.cfg
 let time t = t.wall
 let ledger t = t.ledger
-
-let reset t =
-  t.wall <- 0.0;
-  t.current_concurrency <- 1.0;
-  Ledger.reset t.ledger
 
 let charge t cat seconds =
   t.wall <- t.wall +. seconds;

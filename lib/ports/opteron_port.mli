@@ -12,7 +12,13 @@
       scaled — exact for this access pattern, and cheap.
 
     This cache term is what bends Fig. 9's Opteron curve above the pure
-    N² line once the position arrays outgrow the L1.
+    N² line.  Once the three position arrays outgrow the 64 KB L1 (about
+    2800 atoms) the capacity stall is a few cycles per pair.  The
+    4096-atom point is set conflicts: the SoA arrays sit back to back at
+    64-byte alignment, so at 4095–4096 atoms each position array spans
+    32 KB, exactly one way of the 2-way L1, x[j], y[j] and z[j] map to
+    one set, and every access misses L1 (36 cycles per pair; see
+    {!memory_excess_cycles_per_pair}).
 
     One {!run} serves both force paths: the paper's per-step gather over
     every pair ({!Mdcore.Pairlist.gather} with [All]), or the Verlet
@@ -38,4 +44,6 @@ val seconds_for : ?steps:int -> ?force_path:Force_path.t -> n:int -> unit ->
 
 val memory_excess_cycles_per_pair : n:int -> unit -> float
 (** The measured average memory-stall cycles per pair at a given system
-    size (diagnostic for the Fig. 9 analysis). *)
+    size, from a warm cache (diagnostic for the Fig. 9 analysis): 0 at
+    2048 atoms, 4.284 at 4000 (L1 capacity), 36.0 at 4095 and 4096 (set
+    conflicts), 4.508 at 4097. *)

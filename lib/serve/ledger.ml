@@ -149,24 +149,53 @@ let verify_line line =
           then Error "foreign schema"
           else Ok j))
 
+(* --- field readers, shared with the wire protocol ---
+
+   An absent or null field is [None].  A present field of another type,
+   or a number where an exact integer is expected, raises [Bad_field]
+   naming the field: a mistyped field never becomes a default. *)
+
+exception Bad_field of string
+
+let field j name =
+  match Minijson.member name j with
+  | None | Some Minijson.Null -> None
+  | some -> some
+
+let bad name what = raise (Bad_field (Printf.sprintf "%s must be %s" name what))
+
+let str_field j name =
+  match field j name with
+  | None -> None
+  | Some (Minijson.Str s) -> Some s
+  | Some _ -> bad name "a string"
+
+let num_field j name =
+  match field j name with
+  | None -> None
+  | Some (Minijson.Num f) -> Some f
+  | Some _ -> bad name "a number"
+
+(* 2^53 bounds the integers a JSON number (a binary64) holds exactly. *)
+let int_field j name =
+  match field j name with
+  | None -> None
+  | Some (Minijson.Num f) when Float.is_integer f && Float.abs f <= 0x1p53 ->
+    Some (int_of_float f)
+  | Some _ -> bad name "an integer"
+
+let bool_field j name =
+  match field j name with
+  | None -> None
+  | Some (Minijson.Bool b) -> Some b
+  | Some _ -> bad name "true or false"
+
 (* --- decoding a replayed record back into the event type --- *)
 
-let jfield j name = Minijson.member name j
-
-let jint j name =
-  match Option.bind (jfield j name) Minijson.to_float with
-  | Some f -> Some (int_of_float f)
-  | None -> None
-
-let jnum j name = Option.bind (jfield j name) Minijson.to_float
-let jstr_of j name = Option.bind (jfield j name) Minijson.to_string
-
-let jbool j name = Option.bind (jfield j name) Minijson.to_bool
-
 let spec_of_json ~id j =
-  let str name d = Option.value ~default:d (jstr_of j name) in
-  let int name d = Option.value ~default:d (jint j name) in
-  let num name d = Option.value ~default:d (jnum j name) in
+  let str name d = Option.value ~default:d (str_field j name) in
+  let int name d = Option.value ~default:d (int_field j name) in
+  let num name d = Option.value ~default:d (num_field j name) in
   {
     js_id = id;
     js_tenant = str "tenant" "default";
@@ -181,62 +210,58 @@ let spec_of_json ~id j =
     js_skin = num "skin" 0.4;
     js_every = int "every" 25;
     js_keep = int "keep" 4;
-    js_faults =
-      (match jfield j "faults" with
-      | Some (Minijson.Str s) -> Some s
-      | _ -> None);
-    js_deadline =
-      (match jfield j "deadline" with
-      | Some (Minijson.Num f) -> Some f
-      | _ -> None);
-    js_telemetry = Option.value ~default:false (jbool j "telemetry");
+    js_faults = str_field j "faults";
+    js_deadline = num_field j "deadline";
+    js_telemetry = Option.value ~default:false (bool_field j "telemetry");
     js_tel_every = int "tel_every" (int "every" 25);
   }
 
 let event_of_json j =
-  let job = Option.value ~default:"" (jstr_of j "job") in
-  let completed = Option.value ~default:0 (jint j "completed") in
-  let reason = Option.value ~default:"" (jstr_of j "reason") in
-  match jstr_of j "event" with
-  | Some "submitted" -> (
-    match jfield j "spec" with
-    | Some spec -> Ok (Submitted (spec_of_json ~id:job spec))
-    | None -> Error "submitted record without spec")
-  | Some "resumed" -> Ok (Resumed { ev_job = job; ev_completed = completed })
-  | Some "segment" ->
-    Ok
-      (Segment
-         {
-           ev_job = job;
-           ev_completed = completed;
-           ev_total = Option.value ~default:0 (jint j "total");
-         })
-  | Some "retrying" ->
-    Ok
-      (Retrying
-         {
-           ev_job = job;
-           ev_attempt = Option.value ~default:1 (jint j "attempt");
-           ev_reason = reason;
-         })
-  | Some "done" ->
-    Ok
-      (Done
-         {
-           ev_job = job;
-           ev_status = Option.value ~default:"ok" (jstr_of j "status");
-           ev_completed = completed;
-         })
-  | Some "cancelled" ->
-    Ok (Cancelled { ev_job = job; ev_completed = completed })
-  | Some "failed" ->
-    Ok (Failed { ev_job = job; ev_reason = reason; ev_completed = completed })
-  | Some "degraded" ->
-    Ok
-      (Degraded { ev_job = job; ev_reason = reason; ev_completed = completed })
-  | Some "drained" -> Ok (Drained { ev_job = job; ev_completed = completed })
-  | Some other -> Error ("unknown event " ^ other)
-  | None -> Error "record without event"
+  try
+    let job = Option.value ~default:"" (str_field j "job") in
+    let completed = Option.value ~default:0 (int_field j "completed") in
+    let reason = Option.value ~default:"" (str_field j "reason") in
+    match str_field j "event" with
+    | Some "submitted" -> (
+      match field j "spec" with
+      | Some spec -> Ok (Submitted (spec_of_json ~id:job spec))
+      | None -> Error "submitted record without spec")
+    | Some "resumed" -> Ok (Resumed { ev_job = job; ev_completed = completed })
+    | Some "segment" ->
+      Ok
+        (Segment
+           {
+             ev_job = job;
+             ev_completed = completed;
+             ev_total = Option.value ~default:0 (int_field j "total");
+           })
+    | Some "retrying" ->
+      Ok
+        (Retrying
+           {
+             ev_job = job;
+             ev_attempt = Option.value ~default:1 (int_field j "attempt");
+             ev_reason = reason;
+           })
+    | Some "done" ->
+      Ok
+        (Done
+           {
+             ev_job = job;
+             ev_status = Option.value ~default:"ok" (str_field j "status");
+             ev_completed = completed;
+           })
+    | Some "cancelled" ->
+      Ok (Cancelled { ev_job = job; ev_completed = completed })
+    | Some "failed" ->
+      Ok (Failed { ev_job = job; ev_reason = reason; ev_completed = completed })
+    | Some "degraded" ->
+      Ok
+        (Degraded { ev_job = job; ev_reason = reason; ev_completed = completed })
+    | Some "drained" -> Ok (Drained { ev_job = job; ev_completed = completed })
+    | Some other -> Error ("unknown event " ^ other)
+    | None -> Error "record without event"
+  with Bad_field msg -> Error msg
 
 (* --- replay --- *)
 
@@ -273,9 +298,9 @@ let replay_string data =
         if lineno = total then note "dropped torn final record (%s)" msg
         else note "ignored corrupt record at line %d (%s)" lineno msg
       | Ok j -> (
-        (match jint j "seq" with
+        (match int_field j "seq" with
         | Some s when s >= !next_seq -> next_seq := s + 1
-        | _ -> ());
+        | _ | (exception Bad_field _) -> ());
         match event_of_json j with
         | Error msg -> note "ignored record at line %d: %s" lineno msg
         | Ok (Submitted js) ->
@@ -454,7 +479,10 @@ let tail_lines data ~job ~limit =
     match verify_line line with
     | Error _ -> None
     | Ok j ->
-      if job = "" || jstr_of j "job" = Some job then Some line else None
+      let mentions =
+        try str_field j "job" = Some job with Bad_field _ -> false
+      in
+      if job = "" || mentions then Some line else None
   in
   let matching = List.filter_map keep lines in
   let n = List.length matching in

@@ -9,8 +9,9 @@
      {"op":"drain"}
 
    Submit carries the jobspec fields at top level (same names as the
-   ledger's [spec] object); absent fields take the submit defaults.
-   Replies are `{"ok":true,...}` or `{"ok":false,"error":"..."}`. *)
+   ledger's [spec] object); absent fields take the submit defaults, and
+   a field of the wrong type is a bad request naming it.  Replies are
+   `{"ok":true,...}` or `{"ok":false,"error":"..."}`. *)
 
 module Minijson = Sim_util.Minijson
 
@@ -22,35 +23,32 @@ type request =
   | Tail of string * int
   | Drain
 
-let jstr_of j name = Option.bind (Minijson.member name j) Minijson.to_string
-
-let jint_of j name =
-  match Option.bind (Minijson.member name j) Minijson.to_float with
-  | Some f -> Some (int_of_float f)
-  | None -> None
+let request_of_json j =
+  let str = Ledger.str_field j in
+  match str "op" with
+  | Some "ping" -> Ok Ping
+  | Some "submit" ->
+    let id = Option.value ~default:"" (str "id") in
+    Ok (Submit (Ledger.spec_of_json ~id j))
+  | Some "status" -> Ok (Status (str "job"))
+  | Some "cancel" -> (
+    match str "job" with
+    | Some job -> Ok (Cancel job)
+    | None -> Error "cancel needs a \"job\" field")
+  | Some "tail" ->
+    Ok
+      (Tail
+         ( Option.value ~default:"" (str "job"),
+           Option.value ~default:20 (Ledger.int_field j "limit") ))
+  | Some "drain" -> Ok Drain
+  | Some other -> Error (Printf.sprintf "unknown op %S" other)
+  | None -> Error "request without \"op\""
 
 let parse_request line =
-  match Minijson.parse line with
-  | exception Minijson.Parse_error msg -> Error ("bad request: " ^ msg)
-  | j -> (
-    match jstr_of j "op" with
-    | Some "ping" -> Ok Ping
-    | Some "submit" ->
-      let id = Option.value ~default:"" (jstr_of j "id") in
-      Ok (Submit (Ledger.spec_of_json ~id j))
-    | Some "status" -> Ok (Status (jstr_of j "job"))
-    | Some "cancel" -> (
-      match jstr_of j "job" with
-      | Some job -> Ok (Cancel job)
-      | None -> Error "cancel needs a \"job\" field")
-    | Some "tail" ->
-      Ok
-        (Tail
-           ( Option.value ~default:"" (jstr_of j "job"),
-             Option.value ~default:20 (jint_of j "limit") ))
-    | Some "drain" -> Ok Drain
-    | Some other -> Error (Printf.sprintf "unknown op %S" other)
-    | None -> Error "request without \"op\"")
+  match request_of_json (Minijson.parse line) with
+  | r -> r
+  | exception (Minijson.Parse_error msg | Ledger.Bad_field msg) ->
+    Error ("bad request: " ^ msg)
 
 let ok_reply fields =
   match fields with

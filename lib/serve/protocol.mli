@@ -4,7 +4,9 @@
     Requests are single-line JSON objects with an ["op"] field —
     [ping], [submit] (jobspec fields at top level, absent fields take
     submit defaults), [status] (optionally one ["job"]), [cancel],
-    [tail], [drain].  Replies are [{"ok":true,...}] or
+    [tail], [drain].  Fields are read with {!Ledger}'s strict readers,
+    so a present field of the wrong type is [Error "bad request: ..."]
+    naming it.  Replies are [{"ok":true,...}] or
     [{"ok":false,"error":"..."}]. *)
 
 type request =

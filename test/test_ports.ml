@@ -704,6 +704,23 @@ let test_opteron_memory_excess_grows () =
     (Printf.sprintf "excess grows: %.3f -> %.3f cyc/pair" small large)
     true (large > small +. 0.5)
 
+(* What drives Fig. 9's top point.  The SoA arrays sit back to back at
+   64-byte alignment, so at N = 4095 and 4096 each position array spans
+   32 KB, the way size of the 64 KB 2-way L1: x[j], y[j] and z[j] map to
+   one set and every access misses L1.  On either side the three
+   position arrays (96 KB) have merely outgrown the L1, and the stall is
+   a capacity one, an order of magnitude smaller.  A layout change that
+   moves any of these values moves Fig. 9. *)
+let test_opteron_memory_excess_pinned () =
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "stall cycles per pair at N = %d" n)
+        expected
+        (Opteron.memory_excess_cycles_per_pair ~n ()))
+    [ (2048, 0.0); (4000, 4.284); (4095, 36.0); (4096, 36.0);
+      (4097, 4.507688552599463) ]
+
 let test_opteron_runtime_superquadratic_shape () =
   (* The defining Fig. 9 behaviour at model scale. *)
   let t1 =
@@ -1147,6 +1164,8 @@ let tests =
         test_opteron_breakdown_sums;
       Alcotest.test_case "opteron memory excess grows" `Slow
         test_opteron_memory_excess_grows;
+      Alcotest.test_case "opteron memory excess pinned" `Quick
+        test_opteron_memory_excess_pinned;
       Alcotest.test_case "opteron superquadratic shape" `Quick
         test_opteron_runtime_superquadratic_shape;
       Alcotest.test_case "cell profile records" `Quick

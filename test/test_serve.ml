@@ -466,6 +466,60 @@ let test_protocol_parse () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown op must fail"
 
+(* A present field of the wrong type, a fractional integer or one past
+   2^53 is a bad request naming the field, never a silent default or a
+   truncation.  Absent and null fields keep their defaults. *)
+let test_protocol_rejects_mistyped_fields () =
+  List.iter
+    (fun (body, field) ->
+      match Protocol.parse_request body with
+      | Ok _ -> Alcotest.failf "%s was accepted" body
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" body msg field)
+          true
+          (String.starts_with ~prefix:("bad request: " ^ field ^ " ") msg))
+    [ ("{\"op\":\"submit\",\"skin\":\"0.1\"}", "skin");
+      ("{\"op\":\"submit\",\"atoms\":256.9}", "atoms");
+      ("{\"op\":\"submit\",\"deadline\":\"30\"}", "deadline");
+      ("{\"op\":\"submit\",\"steps\":1e19}", "steps");
+      ("{\"op\":\"submit\",\"telemetry\":1}", "telemetry");
+      ("{\"op\":\"tail\",\"limit\":\"5\"}", "limit") ];
+  match
+    Protocol.parse_request
+      "{\"op\":\"submit\",\"id\":\"d\",\"deadline\":null,\"faults\":null}"
+  with
+  | Ok (Protocol.Submit js) ->
+    Alcotest.(check (float 0.0)) "default skin" 0.4 js.Ledger.js_skin;
+    Alcotest.(check int) "default atoms" 256 js.Ledger.js_atoms;
+    Alcotest.(check (option (float 0.0))) "null deadline" None
+      js.Ledger.js_deadline;
+    Alcotest.(check (option string)) "null faults" None js.Ledger.js_faults
+  | _ -> Alcotest.fail "defaults and nulls must be accepted"
+
+(* [mdsim job submit --skin nan] formats its floats with
+   [Mdobs.json_float], so the body is valid JSON and the daemon's reply
+   names the field. *)
+let test_daemon_rejects_nan_skin () =
+  let eng = engine (fresh_dir ()) in
+  let body =
+    Printf.sprintf "{\"op\":\"submit\",\"id\":\"n1\",\"skin\":%s}"
+      (Mdobs.json_float Float.nan)
+  in
+  let j = Sim_util.Minijson.parse (Daemon.handle_request eng body) in
+  Alcotest.(check (option bool))
+    "rejected" (Some false)
+    (Option.bind (Sim_util.Minijson.member "ok" j) Sim_util.Minijson.to_bool);
+  (match
+     Option.bind (Sim_util.Minijson.member "error" j)
+       Sim_util.Minijson.to_string
+   with
+  | Some msg ->
+    Alcotest.(check bool) (Printf.sprintf "%S names skin" msg) true
+      (String.starts_with ~prefix:"bad request: skin " msg)
+  | None -> Alcotest.fail "no error in the reply");
+  Engine.abandon eng
+
 let test_daemon_handle_request () =
   let dir = fresh_dir () in
   let eng = engine dir in
@@ -569,6 +623,10 @@ let tests =
       Alcotest.test_case "resume refused without flag" `Quick
         test_resume_refused_without_flag;
       Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
+      Alcotest.test_case "protocol rejects mistyped fields" `Quick
+        test_protocol_rejects_mistyped_fields;
+      Alcotest.test_case "daemon rejects nan skin" `Quick
+        test_daemon_rejects_nan_skin;
       Alcotest.test_case "daemon handle_request" `Quick
         test_daemon_handle_request;
       Alcotest.test_case "runner suspend request" `Quick
